@@ -182,6 +182,9 @@ fi
 echo "==> decide-path budget: fresh measurement vs committed BENCH_decide.json"
 ./target/release/bench_decide --out target/ci-bench-decide.json --check BENCH_decide.json
 
+echo "==> perfbench: the benchmark builds against the public API, unit tests pass"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -19,29 +19,30 @@
 //! The policy observes nothing but times, the energy register, and two
 //! hardware counters — black-box end to end.
 //!
-//! Since the layering refactor this module is a thin *composition*: the
-//! pure per-observation policy lives in [`DecisionEngine`], the global
-//! table G in [`KernelTable`](crate::KernelTable), and the Figure 7
-//! control flow in `profile_loop`. [`EasScheduler`] wires them behind the
-//! classic exclusive `&mut self` [`Scheduler`] API;
-//! [`SharedEas`](crate::SharedEas) wires the same layers behind an
-//! `Arc`-shared concurrent API.
+//! The pure per-observation policy lives in [`DecisionEngine`], the
+//! global table G in [`KernelTable`](crate::KernelTable), and the one
+//! scheduler state in [`SharedEas`], whose methods run the Figure 7
+//! control flow (`profile_loop`). This module holds the configuration
+//! types and [`EasScheduler`], the exclusive `&mut self` [`Scheduler`]
+//! adapter over that core.
 
 use crate::classify::{Classifier, WorkloadClass};
 use crate::engine::DecisionEngine;
-use crate::health::{merge_store_health, FaultPolicy, Health, HealthReport};
+use crate::health::{FaultPolicy, Health};
 use crate::journal::{Recovered, StoreError, TableStore};
 use crate::kernel_table::KernelTable;
 use crate::objective::Objective;
 use crate::power_model::PowerModel;
-use crate::profile_loop;
 use crate::seed::RunSeed;
 use crate::selfheal::{DriftPolicy, WatchdogPolicy};
-use easched_runtime::vfs::{StdFs, Vfs};
+use crate::shared::SharedEas;
+use easched_runtime::vfs::Vfs;
 use easched_runtime::{Backend, Clock, InvocationCtx, KernelId, Scheduler, WallClock};
 use easched_telemetry::TelemetrySink;
+use std::ops::Deref;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// How the objective is minimized over the offload ratio.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,56 +167,21 @@ pub struct Decision {
     pub alpha: f64,
 }
 
-/// Serializes a decision log as CSV (shared by the exclusive and
-/// concurrent frontends).
-pub(crate) fn decision_log_csv(log: &[Decision]) -> String {
-    let mut out = String::from("kernel,r_c,r_g,class,n_remaining,alpha\n");
-    for d in log {
-        out.push_str(&format!(
-            "{},{:.3},{:.3},{},{},{:.3}\n",
-            d.kernel,
-            d.r_c,
-            d.r_g,
-            d.class.index(),
-            d.n_remaining,
-            d.alpha
-        ));
-    }
-    out
-}
-
-/// The scheduler's layers, decomposed: policy, memory, health, telemetry,
-/// and persistence — what [`EasScheduler::into_parts`] hands to
-/// [`into_shared`](EasScheduler::into_shared).
-pub(crate) type SchedulerParts = (
-    DecisionEngine,
-    KernelTable,
-    Health,
-    Option<Arc<dyn TelemetrySink>>,
-    Option<Arc<TableStore>>,
-    Arc<dyn Clock>,
-);
-
 /// The energy-aware scheduler. One instance per platform; carries the
 /// kernel table G across invocations and workloads.
 ///
-/// This is the exclusive (`&mut self`) frontend over the layered engine:
-/// a [`DecisionEngine`] (policy) plus a [`KernelTable`] (memory) plus a
-/// local decision log. For N concurrent workload streams sharing one
-/// learned table, use [`SharedEas`](crate::SharedEas) instead.
-#[derive(Debug, Clone)]
+/// This is the exclusive (`&mut self`) [`Scheduler`] adapter over the
+/// one scheduler core, [`SharedEas`], which it owns by value and derefs
+/// to for every accessor. Cloning forks the learned table. It is also the
+/// one place a core is configured — [`open`](EasScheduler::open) a
+/// store, [`set_telemetry`](EasScheduler::set_telemetry),
+/// [`set_clock`](EasScheduler::set_clock) — before
+/// [`into_shared`](EasScheduler::into_shared) hands it to N concurrent
+/// streams.
+#[derive(Debug)]
 pub struct EasScheduler {
-    engine: DecisionEngine,
-    table: KernelTable,
-    health: Health,
-    name: String,
-    /// Total decision-making invocations, for diagnostics.
-    decisions: u64,
-    log: Vec<Decision>,
+    core: SharedEas,
     current_kernel: KernelId,
-    telemetry: Option<Arc<dyn TelemetrySink>>,
-    store: Option<Arc<TableStore>>,
-    clock: Arc<dyn Clock>,
 }
 
 impl EasScheduler {
@@ -230,65 +196,41 @@ impl EasScheduler {
         let name = format!("EAS({})", config.objective.name());
         let health = Health::new(&config.fault, config.drift, config.watchdog);
         EasScheduler {
-            engine: DecisionEngine::new(model, config),
-            table: KernelTable::new(),
-            health,
-            name,
-            decisions: 0,
-            log: Vec::new(),
+            core: SharedEas {
+                engine: DecisionEngine::new(model, config),
+                table: KernelTable::new(),
+                health,
+                name,
+                decisions: AtomicU64::new(0),
+                log: Mutex::new(Vec::new()),
+                telemetry: None,
+                store: None,
+                clock: Arc::new(WallClock),
+            },
             current_kernel: 0,
-            telemetry: None,
-            store: None,
-            clock: Arc::new(WallClock),
         }
     }
 
     /// Like [`new`](EasScheduler::new), but with crash-safe persistence
-    /// rooted at `dir`: the kernel table — including taint and breaker
-    /// state — is recovered from the store's snapshot + journal, and every
-    /// subsequent table mutation is journaled so a `kill -9` at any point
-    /// loses at most the invocation in flight (DESIGN.md §11).
-    pub fn with_persistence(
-        model: PowerModel,
-        config: EasConfig,
-        dir: impl AsRef<Path>,
-    ) -> Result<EasScheduler, StoreError> {
-        EasScheduler::with_persistence_vfs(model, config, dir, Arc::new(StdFs))
-    }
-
-    /// [`with_persistence`](EasScheduler::with_persistence) with an
-    /// explicit [`Vfs`], so storage-chaos runs can inject I/O faults
-    /// into the journal without touching the scheduling path
-    /// (DESIGN.md §16).
-    pub fn with_persistence_vfs(
+    /// rooted at `dir` on `vfs` ([`StdFs`](easched_runtime::vfs::StdFs)
+    /// for the real disk; a `ChaosFs` injects I/O faults into the journal
+    /// without touching the scheduling path, DESIGN.md §16): the kernel
+    /// table — including taint and breaker state — is recovered from the
+    /// store's snapshot + journal, and every subsequent table mutation is
+    /// journaled so a `kill -9` at any point loses at most the invocation
+    /// in flight (DESIGN.md §11).
+    pub fn open(
         model: PowerModel,
         config: EasConfig,
         dir: impl AsRef<Path>,
         vfs: Arc<dyn Vfs>,
     ) -> Result<EasScheduler, StoreError> {
-        let (store, recovered) = TableStore::open_with(dir, vfs)?;
-        let mut s = EasScheduler::new(model, config);
-        let Recovered { table, breaker, .. } = recovered;
-        s.table = table;
-        s.health.breaker.restore(breaker);
-        s.store = Some(Arc::new(store));
-        Ok(s)
-    }
-
-    /// The persistence store, if this scheduler was built with one.
-    pub fn store(&self) -> Option<&Arc<TableStore>> {
-        self.store.as_ref()
-    }
-
-    /// Forces a snapshot + journal compaction now (also happens
-    /// automatically every
-    /// [`compact_every`](TableStore::compact_every) journal appends).
-    /// No-op without a store.
-    pub fn checkpoint(&self) -> Result<(), StoreError> {
-        match &self.store {
-            Some(store) => store.checkpoint(&self.table, self.health.breaker.state()),
-            None => Ok(()),
-        }
+        let (store, Recovered { table, breaker, .. }) = TableStore::open_with(dir, vfs)?;
+        let mut eas = EasScheduler::new(model, config);
+        eas.core.table = table;
+        eas.core.health.breaker.restore(breaker);
+        eas.core.store = Some(Arc::new(store));
+        Ok(eas)
     }
 
     /// Attaches a telemetry sink: every subsequent invocation emits one
@@ -297,12 +239,7 @@ impl EasScheduler {
     /// platform realized (DESIGN.md §10). Pass `None` to detach; with no
     /// sink the scheduling path is identical to the untelemetered one.
     pub fn set_telemetry(&mut self, sink: Option<Arc<dyn TelemetrySink>>) {
-        self.telemetry = sink;
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&Arc<dyn TelemetrySink>> {
-        self.telemetry.as_ref()
+        self.core.telemetry = sink;
     }
 
     /// Replaces the scheduler's time source. The clock only times the
@@ -312,96 +249,32 @@ impl EasScheduler {
     /// telemetry stream is bit-reproducible; record/replay installs one
     /// on both sides. Defaults to [`WallClock`].
     pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        self.clock = clock;
+        self.core.clock = clock;
     }
 
-    /// The scheduler's time source.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
+    /// Converts an exclusive scheduler into a shareable one, carrying the
+    /// already-learned table, decision history, sink, store and clock
+    /// across. Useful for warming a table single-threaded, then serving
+    /// it to N streams.
+    pub fn into_shared(self) -> Arc<SharedEas> {
+        let mut core = self.core;
+        core.name = format!("EAS-shared({})", core.engine.config().objective.name());
+        Arc::new(core)
     }
 
-    /// An *online* performance-oriented variant: the same profiling
-    /// machinery minimizing pure execution time, which lands on
-    /// α_PERF = R_G/(R_C+R_G) (Eq. 2). The paper's PERF comparison scheme
-    /// is an offline best-time fixed split
-    /// ([`Evaluator::perf_scheme`](crate::Evaluator::perf_scheme)); this
-    /// online variant is used by the ablation study.
-    pub fn perf_online(model: PowerModel) -> EasScheduler {
-        let mut s = EasScheduler::new(model, EasConfig::new(Objective::Time));
-        s.name = "PERF-online".into();
-        s
-    }
-
-    /// The learned offload ratio for a kernel, if any.
-    pub fn learned_alpha(&self, kernel: KernelId) -> Option<f64> {
-        self.table.lookup(kernel)
-    }
-
-    /// Number of α decisions made so far (profiling rounds across all
-    /// invocations).
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Every α decision made so far, in order.
-    pub fn decision_log(&self) -> &[Decision] {
-        &self.log
-    }
-
-    /// The underlying decision engine (policy layer).
-    pub fn engine(&self) -> &DecisionEngine {
-        &self.engine
-    }
-
-    /// The kernel table G (memory layer).
-    pub fn table(&self) -> &KernelTable {
-        &self.table
-    }
-
-    /// Fault-pipeline telemetry: guard rejections, retries, degraded
-    /// invocations, circuit-breaker activity (see
-    /// [`HealthReport`]). All zeros on a healthy platform.
-    pub fn health(&self) -> HealthReport {
-        let mut report = self.health.report();
-        if let Some(store) = &self.store {
-            merge_store_health(&mut report, store.health());
-        }
-        report
-    }
-
-    /// The fault-handling state (breaker inspection for diagnostics).
-    pub fn health_state(&self) -> &Health {
-        &self.health
-    }
-
-    /// Decomposes the scheduler into its policy, memory, health, and
-    /// telemetry layers (consumed by
-    /// [`into_shared`](EasScheduler::into_shared)).
-    pub(crate) fn into_parts(self) -> SchedulerParts {
-        (
-            self.engine,
-            self.table,
-            self.health,
-            self.telemetry,
-            self.store,
-            self.clock,
-        )
-    }
-
-    /// Serializes the decision log as CSV (for the harness and post-hoc
-    /// analysis).
-    ///
-    /// ```
-    /// # use easched_core::{EasConfig, EasScheduler, Objective, PowerModel, PowerCurve, WorkloadClass};
-    /// # use easched_num::Polynomial;
-    /// # let curves = WorkloadClass::all().into_iter()
-    /// #     .map(|c| PowerCurve::new(c, Polynomial::constant(50.0), 0.0, 11)).collect();
-    /// # let model = PowerModel::new("x", curves);
-    /// let eas = EasScheduler::new(model, EasConfig::new(Objective::Energy));
-    /// assert!(eas.decision_log_csv().starts_with("kernel,r_c,r_g,"));
-    /// ```
-    pub fn decision_log_csv(&self) -> String {
-        decision_log_csv(&self.log)
+    /// One α decision from a profiling observation (Fig 7 steps 15–20):
+    /// derive R_C/R_G, classify, pick the power curve, and grid-minimize the
+    /// objective over the remaining iterations. Public so the overhead
+    /// benchmark can time the paper's "1–2 µs" decision path directly.
+    pub fn decide_alpha(&mut self, obs: &easched_runtime::Observation, n_remaining: u64) -> f64 {
+        let core = &mut self.core;
+        *core.decisions.get_mut() += 1;
+        let decision = core.engine.decide(self.current_kernel, obs, n_remaining);
+        core.log
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(decision);
+        decision.alpha
     }
 
     /// Sample-weighted accumulation of a newly computed α (step 26; the
@@ -411,59 +284,48 @@ impl EasScheduler {
         self.table
             .accumulate(kernel, alpha, weight, self.engine.config().accumulation);
     }
+}
 
-    /// One α decision from a profiling observation (Fig 7 steps 15–20):
-    /// derive R_C/R_G, classify, pick the power curve, and grid-minimize the
-    /// objective over the remaining iterations. Public so the overhead
-    /// benchmark can time the paper's "1–2 µs" decision path directly.
-    pub fn decide_alpha(&mut self, obs: &easched_runtime::Observation, n_remaining: u64) -> f64 {
-        self.decisions += 1;
-        let decision = self.engine.decide(self.current_kernel, obs, n_remaining);
-        self.log.push(decision);
-        decision.alpha
+impl Deref for EasScheduler {
+    type Target = SharedEas;
+
+    fn deref(&self) -> &SharedEas {
+        &self.core
     }
 }
 
-impl EasScheduler {
-    /// [`Scheduler::schedule`] under an explicit admission context: the
-    /// ctx's GPU policy gates offloading (brownout throttling) and its
-    /// deadline budget composes with the watchdog's own deadlines. The
-    /// default ctx runs the exact context-free path, so single-tenant
-    /// callers lose nothing by never touching this.
-    pub fn schedule_with(
-        &mut self,
-        kernel: KernelId,
-        backend: &mut dyn Backend,
-        ctx: InvocationCtx,
-    ) {
-        self.current_kernel = kernel;
-        let (engine, table, health) = (&self.engine, &self.table, &self.health);
-        let (decisions, log) = (&mut self.decisions, &mut self.log);
-        profile_loop::schedule_invocation(
-            engine,
-            table,
-            health,
-            kernel,
-            backend,
-            |d| {
-                *decisions += 1;
-                log.push(d);
+impl Clone for EasScheduler {
+    /// Forks the scheduler: the clone starts from a copy of the learned
+    /// table, health and decision history, then learns on its own. The
+    /// sink, store and clock are shared.
+    fn clone(&self) -> EasScheduler {
+        let core = &self.core;
+        EasScheduler {
+            core: SharedEas {
+                engine: core.engine.clone(),
+                table: core.table.clone(),
+                health: core.health.clone(),
+                name: core.name.clone(),
+                decisions: AtomicU64::new(core.decisions()),
+                log: Mutex::new(core.decision_log()),
+                telemetry: core.telemetry.clone(),
+                store: core.store.clone(),
+                clock: Arc::clone(&core.clock),
             },
-            self.telemetry.as_deref(),
-            self.store.as_deref(),
-            self.clock.as_ref(),
-            ctx,
-        );
+            current_kernel: self.current_kernel,
+        }
     }
 }
 
 impl Scheduler for EasScheduler {
     fn name(&self) -> &str {
-        &self.name
+        &self.core.name
     }
 
     fn schedule(&mut self, kernel: KernelId, backend: &mut dyn Backend) {
-        self.schedule_with(kernel, backend, InvocationCtx::default());
+        self.current_kernel = kernel;
+        self.core
+            .schedule_invocation(kernel, backend, InvocationCtx::default());
     }
 }
 
@@ -537,7 +399,7 @@ mod tests {
         assert!(a > 0.6, "energy objective should go GPU-heavy, got {a}");
 
         // Same machine, time objective: balanced split.
-        let mut perf = EasScheduler::perf_online(linear_model(80.0, 60.0));
+        let mut perf = EasScheduler::new(linear_model(80.0, 60.0), EasConfig::new(Objective::Time));
         let mut b = FakeBackend::new(100_000, 1.0e6, 1.0e6);
         perf.schedule(3, &mut b);
         let a = perf.learned_alpha(3).unwrap();

@@ -12,6 +12,7 @@ use crate::journal::StoreError;
 use crate::power_model::PowerModel;
 use crate::shared::{SharedEas, SharedEasExt};
 use easched_kernels::{Verification, Workload};
+use easched_runtime::vfs::StdFs;
 use easched_runtime::{run_workload, Backend, KernelId, RunMetrics, Scheduler, Shared};
 use easched_sim::{Machine, Platform};
 use std::path::Path;
@@ -134,7 +135,7 @@ impl EasRuntime {
 
     /// Like [`EasRuntime::new`], but the scheduler's kernel table is
     /// recovered from — and journaled to — the crash-safe store rooted at
-    /// `dir` (see [`EasScheduler::with_persistence`]): after a `kill -9`,
+    /// `dir` (see [`EasScheduler::open`]): after a `kill -9`,
     /// a new runtime opened on the same directory resumes with every
     /// learned α, taint mark, and the breaker state (DESIGN.md §11).
     pub fn with_persistence(
@@ -145,8 +146,11 @@ impl EasRuntime {
     ) -> Result<EasRuntime, StoreError> {
         Ok(EasRuntime {
             machine: Machine::new(platform),
-            driver: Driver::Exclusive(Box::new(EasScheduler::with_persistence(
-                model, config, dir,
+            driver: Driver::Exclusive(Box::new(EasScheduler::open(
+                model,
+                config,
+                dir,
+                Arc::new(StdFs),
             )?)),
         })
     }
@@ -154,10 +158,7 @@ impl EasRuntime {
     /// Forces a snapshot + journal compaction of the underlying store —
     /// mode-agnostic; no-op when the scheduler has no persistence.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
-        match &self.driver {
-            Driver::Exclusive(s) => s.checkpoint(),
-            Driver::Shared(s) => s.policy().checkpoint(),
-        }
+        self.core().checkpoint()
     }
 
     /// Runs a workload to completion (functional execution + verification),
@@ -192,19 +193,21 @@ impl EasRuntime {
 
     /// The learned offload ratio for a kernel, if any — mode-agnostic.
     pub fn learned_alpha(&self, kernel: KernelId) -> Option<f64> {
-        match &self.driver {
-            Driver::Exclusive(s) => s.learned_alpha(kernel),
-            Driver::Shared(s) => s.policy().learned_alpha(kernel),
-        }
+        self.core().learned_alpha(kernel)
     }
 
     /// Fault-pipeline telemetry from the underlying scheduler —
     /// mode-agnostic (for a shared runtime the report aggregates every
     /// stream driving the same `Arc<SharedEas>`).
     pub fn health(&self) -> crate::health::HealthReport {
+        self.core().health()
+    }
+
+    /// The scheduler core, whichever way the runtime holds it.
+    fn core(&self) -> &SharedEas {
         match &self.driver {
-            Driver::Exclusive(s) => s.health(),
-            Driver::Shared(s) => s.policy().health(),
+            Driver::Exclusive(s) => s,
+            Driver::Shared(s) => s.policy(),
         }
     }
 

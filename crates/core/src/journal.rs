@@ -97,7 +97,8 @@ use crate::guard::FaultKind;
 use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::persist::{
-    self, fnv1a64, seal, verify_sealed, ModelParseError, TABLE_HEADER_V1, TABLE_HEADER_V2,
+    self, seal, seal_line, unseal_line, verify_sealed, ModelParseError, TABLE_HEADER_V1,
+    TABLE_HEADER_V2,
 };
 use easched_runtime::vfs::{StdFs, Vfs, VfsFile};
 use easched_runtime::KernelId;
@@ -310,18 +311,16 @@ fn lock(inner: &Mutex<StoreInner>) -> MutexGuard<'_, StoreInner> {
     inner.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One journal line: the record body followed by its own digest.
-fn sealed_line(body: &str) -> String {
-    format!("{body} crc {:016x}\n", fnv1a64(body.as_bytes()))
+/// One journal line — the record body followed by its own digest — in a
+/// buffer sized to fit it exactly.
+fn journal_line(body: &str) -> String {
+    let mut line = String::with_capacity(body.len() + SEAL_LEN);
+    seal_line(&mut line, body);
+    line
 }
 
-/// Splits a journal line into its body if (and only if) the trailing
-/// digest matches.
-fn verified_body(line: &str) -> Option<&str> {
-    let (body, hex) = line.rsplit_once(" crc ")?;
-    let stored = u64::from_str_radix(hex.trim(), 16).ok()?;
-    (hex.trim().len() == 16 && fnv1a64(body.as_bytes()) == stored).then_some(body)
-}
+/// Bytes [`seal_line`] adds after the body: ` crc `, 16 hex digits, `\n`.
+const SEAL_LEN: usize = 22;
 
 impl TableStore {
     /// Opens (creating if absent) the store rooted at `dir` and recovers
@@ -429,7 +428,7 @@ impl TableStore {
                 None => (|| {
                     let mut file = vfs.create(&journal_path)?;
                     file.write_all(
-                        sealed_line(&format!("{JOURNAL_MAGIC} gen {generation}")).as_bytes(),
+                        journal_line(&format!("{JOURNAL_MAGIC} gen {generation}")).as_bytes(),
                     )?;
                     Ok(file)
                 })(),
@@ -584,7 +583,7 @@ impl TableStore {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
                 self.degrade(
                     &mut inner,
-                    Some(sealed_line(&body)),
+                    Some(journal_line(&body)),
                     "ENOSPC and emergency compaction failed",
                 );
             }
@@ -616,7 +615,7 @@ impl TableStore {
             // the disk.
             self.degrade(
                 &mut inner,
-                Some(sealed_line(&body)),
+                Some(journal_line(&body)),
                 "ENOSPC outside the entry path",
             );
         }
@@ -635,7 +634,7 @@ impl TableStore {
         if let AppendOutcome::DiskFull = self.append(&mut inner, &body) {
             self.degrade(
                 &mut inner,
-                Some(sealed_line(&body)),
+                Some(journal_line(&body)),
                 "ENOSPC outside the entry path",
             );
         }
@@ -663,7 +662,7 @@ impl TableStore {
     /// degraded), never raised — except ENOSPC, which is returned so the
     /// entry path can compact.
     fn append(&self, inner: &mut StoreInner, body: &str) -> AppendOutcome {
-        let line = sealed_line(body);
+        let line = journal_line(body);
         if inner.mode == StoreMode::Degraded {
             self.buffer_line(inner, line);
             return AppendOutcome::Buffered;
@@ -818,7 +817,7 @@ impl TableStore {
                 None => {
                     let mut file = self.vfs.create(&journal_path)?;
                     file.write_all(
-                        sealed_line(&format!("{JOURNAL_MAGIC} gen {snap_gen}")).as_bytes(),
+                        journal_line(&format!("{JOURNAL_MAGIC} gen {snap_gen}")).as_bytes(),
                     )?;
                     file
                 }
@@ -955,7 +954,7 @@ impl TableStore {
             step = "reset journal";
             let mut file = self.vfs.create(&self.dir.join(JOURNAL_FILE))?;
             step = "write journal header";
-            file.write_all(sealed_line(&format!("{JOURNAL_MAGIC} gen {generation}")).as_bytes())?;
+            file.write_all(journal_line(&format!("{JOURNAL_MAGIC} gen {generation}")).as_bytes())?;
             step = "fsync journal";
             file.sync_all()?;
             // Same reasoning for the journal reset: the first compaction
@@ -1190,7 +1189,7 @@ fn scan_journal(text: &str) -> JournalScan {
     for line in &mut lines {
         let intact = line.ends_with('\n');
         let parsed = intact
-            .then(|| verified_body(line.trim_end_matches('\n')))
+            .then(|| unseal_line(line))
             .flatten()
             .and_then(|body| {
                 if scan.gen.is_none() {
@@ -1433,8 +1432,10 @@ mod tests {
         // Simulate the crash window: restore a pre-checkpoint journal
         // (generation 0) next to the generation-1 snapshot.
         let path = dir.path().join(JOURNAL_FILE);
-        let mut text = sealed_line(&format!("{JOURNAL_MAGIC} gen 0"));
-        text.push_str(&sealed_line("put 5 alpha 5e-1 weight 1e0 seen 0 tainted 0"));
+        let mut text = journal_line(&format!("{JOURNAL_MAGIC} gen 0"));
+        text.push_str(&journal_line(
+            "put 5 alpha 5e-1 weight 1e0 seen 0 tainted 0",
+        ));
         fs::write(&path, text).unwrap();
         let (_, recovered) = TableStore::open(dir.path()).unwrap();
         assert_eq!(recovered.generation, 1);
@@ -1451,7 +1452,7 @@ mod tests {
     fn journal_ahead_of_snapshot_is_refused() {
         let dir = TempDir::new();
         let path = dir.path().join(JOURNAL_FILE);
-        fs::write(&path, sealed_line(&format!("{JOURNAL_MAGIC} gen 3"))).unwrap();
+        fs::write(&path, journal_line(&format!("{JOURNAL_MAGIC} gen 3"))).unwrap();
         let err = TableStore::open(dir.path()).unwrap_err();
         assert!(
             matches!(

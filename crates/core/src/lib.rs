@@ -8,9 +8,11 @@
 //!    micro-benchmarks over GPU offload ratios, measure average package
 //!    power through the energy register, fit a sixth-order polynomial per
 //!    workload category → a [`PowerModel`].
-//! 2. **Profile online per kernel** (inside [`EasScheduler`]): measure
-//!    combined-mode device throughputs and hardware counters, classify the
-//!    workload ([`Classifier`]) into one of eight categories.
+//! 2. **Profile online per kernel** (inside the scheduler core
+//!    [`SharedEas`], driven concurrently through an `Arc` or exclusively
+//!    through its [`EasScheduler`] adapter): measure combined-mode device
+//!    throughputs and hardware counters, classify the workload
+//!    ([`Classifier`]) into one of eight categories.
 //! 3. **Decide**: build the analytical time model T(α) ([`TimeModel`],
 //!    Eqs. 1–4), combine with the category's power curve P(α), and
 //!    grid-minimize the chosen [`Objective`] (energy, EDP, ED², or any
@@ -77,8 +79,8 @@ pub use kernel_table::{AlphaStat, KernelTable, ReuseProbe};
 pub use objective::Objective;
 pub use persist::{
     fnv1a64, load_model, load_model_with, load_table, load_table_with, model_from_text,
-    model_to_text, save_model, save_model_with, save_table, save_table_with, table_from_text,
-    table_to_text, ModelParseError,
+    model_to_text, save_model, save_model_with, save_table, save_table_with, seal_line,
+    table_from_text, table_to_text, unseal_line, ModelParseError,
 };
 pub use power_model::{PowerCurve, PowerModel};
 pub use schemes::{Evaluator, SchemeResult, WorkloadComparison};

@@ -132,6 +132,33 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Appends `body` to `out` as one sealed line: `<body> crc <16 hex>\n`,
+/// the digest being [`fnv1a64`] of the body. Every line-oriented log
+/// seals this way — the table journal (§11), the record/replay run log
+/// (§12) and the fleet wire frame (§15) — so a torn or bit-rotted line
+/// fails [`unseal_line`] on its own, without a file-level checksum.
+pub fn seal_line(out: &mut String, body: &str) {
+    use std::fmt::Write as _;
+    debug_assert!(!body.contains('\n'), "sealed lines are single lines");
+    out.push_str(body);
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, " crc {:016x}", fnv1a64(body.as_bytes()));
+}
+
+/// The body of a line [`seal_line`] wrote, or `None` unless the line ends
+/// in ` crc ` plus exactly 16 hex digits (either case) that digest the
+/// body. Surrounding whitespace of the digest is ignored, so a line may
+/// still carry its `\n`.
+pub fn unseal_line(line: &str) -> Option<&str> {
+    let (body, hex) = line.rsplit_once(" crc ")?;
+    let hex = hex.trim();
+    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    let stored = u64::from_str_radix(hex, 16).ok()?;
+    (fnv1a64(body.as_bytes()) == stored).then_some(body)
+}
+
 /// Appends the v2 trailing checksum line over everything written so far.
 pub(crate) fn seal(mut body: String) -> String {
     let digest = fnv1a64(body.as_bytes());

@@ -346,13 +346,13 @@ impl TenantFrontend {
 mod tests {
     use super::*;
     use crate::classify::WorkloadClass;
-    use crate::eas::EasConfig;
+    use crate::eas::{EasConfig, EasScheduler};
     use crate::objective::Objective;
     use crate::power_model::{PowerCurve, PowerModel};
     use easched_num::Polynomial;
     use easched_runtime::backend::test_support::FakeBackend;
     use easched_runtime::TenantSpec;
-    use easched_telemetry::{RingSink, SloKind};
+    use easched_telemetry::{RingSink, SloKind, TelemetrySink};
 
     fn flat_model(watts: f64) -> PowerModel {
         let curves = WorkloadClass::all()
@@ -363,11 +363,9 @@ mod tests {
     }
 
     fn frontend(sink: Option<Arc<RingSink>>) -> TenantFrontend {
-        let cfg = EasConfig::new(Objective::Time);
-        let shared = match sink {
-            Some(s) => SharedEas::with_telemetry(flat_model(50.0), cfg, s),
-            None => SharedEas::new(flat_model(50.0), cfg),
-        };
+        let mut eas = EasScheduler::new(flat_model(50.0), EasConfig::new(Objective::Time));
+        eas.set_telemetry(sink.map(|s| s as Arc<dyn TelemetrySink>));
+        let shared = eas.into_shared();
         let registry = TenantRegistry::new(vec![
             TenantSpec::new("a", 1.0).with_queue_cap(2),
             TenantSpec::new("b", 3.0).with_queue_cap(2),
@@ -467,9 +465,9 @@ mod tests {
         let sink = Arc::new(RingSink::default());
         let slo = Arc::new(SloTracker::default());
         let f = {
-            let cfg = EasConfig::new(Objective::Time);
-            let slo_sink: Arc<RingSink> = Arc::clone(&sink);
-            let shared = SharedEas::with_telemetry(flat_model(50.0), cfg, slo_sink);
+            let mut eas = EasScheduler::new(flat_model(50.0), EasConfig::new(Objective::Time));
+            eas.set_telemetry(Some(Arc::clone(&sink) as Arc<dyn TelemetrySink>));
+            let shared = eas.into_shared();
             let registry = TenantRegistry::new(vec![TenantSpec::new("a", 1.0).with_queue_cap(1)]);
             TenantFrontend::new(shared, registry, AdmissionConfig::default())
                 .with_slo(Arc::clone(&slo))

@@ -9,11 +9,13 @@ use easched_core::{
 };
 use easched_runtime::backend::test_support::FakeBackend;
 use easched_runtime::chaos::{ChaosInjector, Fault, FaultPlan};
+use easched_runtime::vfs::StdFs;
 use easched_runtime::Scheduler;
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// A unique scratch directory removed on drop.
 struct TempDir(PathBuf);
@@ -330,7 +332,7 @@ fn kill_minus_nine_equivalent_restores_alpha_taint_and_breaker() {
     // checkpoint (drop ≡ kill -9 for completed writes: nothing here
     // flushes or finalizes anything).
     let (alpha7, alpha9) = {
-        let mut eas = EasScheduler::with_persistence(model.clone(), config.clone(), &dir.0)
+        let mut eas = EasScheduler::open(model.clone(), config.clone(), &dir.0, Arc::new(StdFs))
             .expect("fresh persistent scheduler");
         let mut b = FakeBackend::new(100_000, 1.0e6, 2.0e6);
         eas.schedule(7, &mut b);
@@ -350,7 +352,7 @@ fn kill_minus_nine_equivalent_restores_alpha_taint_and_breaker() {
 
     // Session 2: a new scheduler on the same directory resumes with every
     // learned ratio and the quarantine/taint state intact.
-    let eas = EasScheduler::with_persistence(model, config, &dir.0).expect("recovery");
+    let eas = EasScheduler::open(model, config, &dir.0, Arc::new(StdFs)).expect("recovery");
     assert_eq!(eas.learned_alpha(7), Some(alpha7));
     assert_eq!(eas.learned_alpha(9), Some(alpha9));
     assert!(eas.table().is_tainted(9), "taint must survive kill -9");

@@ -281,3 +281,46 @@ mod persist_props {
         }
     }
 }
+
+mod sealed_line_props {
+    use easched_core::{seal_line, unseal_line};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The one sealed-line codec every log shares: a sealed body
+        /// round-trips (with or without its newline, with the digest in
+        /// either case), every strict truncation of the sealed line is
+        /// rejected, and a single bit flip anywhere either rejects or
+        /// decodes to the very same body — never to a different one.
+        #[test]
+        fn sealed_lines_round_trip_and_reject_damage(
+            bytes in prop::collection::vec(32u8..127, 0..64),
+            pos in any::<u64>(),
+            bit in 0u8..8,
+        ) {
+            let body = String::from_utf8(bytes).unwrap();
+            let mut line = String::new();
+            seal_line(&mut line, &body);
+            prop_assert!(line.ends_with('\n'));
+            prop_assert_eq!(unseal_line(&line), Some(body.as_str()));
+            let sealed = &line[..line.len() - 1];
+            prop_assert_eq!(unseal_line(sealed), Some(body.as_str()));
+            let (covered, hex) = sealed.rsplit_once(" crc ").unwrap();
+            let upper = format!("{covered} crc {}", hex.to_uppercase());
+            prop_assert_eq!(unseal_line(&upper), Some(body.as_str()));
+
+            for cut in 0..sealed.len() {
+                prop_assert!(unseal_line(&sealed[..cut]).is_none(), "prefix {} decoded", cut);
+            }
+
+            let mut flipped = line.clone().into_bytes();
+            let pos = (pos as usize) % flipped.len();
+            flipped[pos] ^= 1 << bit;
+            if let Ok(text) = String::from_utf8(flipped) {
+                if let Some(decoded) = unseal_line(&text) {
+                    prop_assert_eq!(decoded, body.as_str(), "flip at {} bit {}", pos, bit);
+                }
+            }
+        }
+    }
+}

@@ -14,7 +14,7 @@ use easched_core::{
     KernelTable, Objective, TableStore,
 };
 use easched_runtime::backend::test_support::FakeBackend;
-use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StorageFault, Vfs};
+use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StdFs, StorageFault, Vfs};
 use easched_runtime::{Scheduler, TickClock};
 use proptest::prelude::*;
 use std::fs;
@@ -210,8 +210,9 @@ fn scheduler_decides_at_full_fidelity_through_a_write_fault_storm() {
 
     // Reference life: same workload on a quiet disk.
     let quiet = TempDir::new("quiet");
-    let mut reference = EasScheduler::with_persistence(model.clone(), config.clone(), &quiet.0)
-        .expect("quiet open");
+    let mut reference =
+        EasScheduler::open(model.clone(), config.clone(), &quiet.0, Arc::new(StdFs))
+            .expect("quiet open");
     let mut b = FakeBackend::new(100_000, 1.0e6, 2.0e6);
     reference.schedule(7, &mut b);
     let mut b = FakeBackend::new(100_000, 1.0e6, 2.0e6);
@@ -220,7 +221,7 @@ fn scheduler_decides_at_full_fidelity_through_a_write_fault_storm() {
     // Storm life: 400‰ ENOSPC, 200‰ torn writes and fsync failures.
     let dir = TempDir::new("storm");
     let fs = chaos(ChaosFsPlan::storm(400));
-    let mut eas = EasScheduler::with_persistence_vfs(model, config, &dir.0, Arc::new(fs.clone()))
+    let mut eas = EasScheduler::open(model, config, &dir.0, Arc::new(fs.clone()))
         .expect("storm open (storm plans never fault reads)");
     let mut b = FakeBackend::new(100_000, 1.0e6, 2.0e6);
     eas.schedule(7, &mut b);

@@ -4,7 +4,7 @@
 
 use easched_core::{
     BreakerState, EasConfig, EasScheduler, InvocationPath, Objective, PowerCurve, PowerModel,
-    RingSink, SharedEas, SharedEasExt, WorkloadClass,
+    RingSink, SharedEasExt, WorkloadClass,
 };
 use easched_num::Polynomial;
 use easched_runtime::backend::test_support::FakeBackend;
@@ -221,11 +221,9 @@ fn shared_streams_interleave_into_one_sink() {
     const STREAMS: usize = 4;
     const INVOCATIONS: usize = 8;
     let sink = Arc::new(RingSink::with_capacity(1024));
-    let shared = SharedEas::with_telemetry(
-        flat_model(50.0),
-        EasConfig::new(Objective::Time),
-        sink.clone(),
-    );
+    let mut eas = EasScheduler::new(flat_model(50.0), EasConfig::new(Objective::Time));
+    eas.set_telemetry(Some(sink.clone()));
+    let shared = eas.into_shared();
     assert!(shared.telemetry().is_some());
 
     std::thread::scope(|s| {

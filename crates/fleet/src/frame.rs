@@ -15,7 +15,7 @@
 //! * `ent` — a batch of [`Envelope`]s, each a single sealed line, in
 //!   strictly increasing `(generation, seq)` order per origin.
 
-use easched_core::fnv1a64;
+use easched_core::{seal_line, unseal_line};
 
 /// A node's identity within the fleet (dense, 0-based).
 pub type NodeId = u16;
@@ -259,7 +259,10 @@ impl Frame {
     /// Decodes a frame, rejecting it whole on any torn or corrupt line.
     pub fn decode(text: &str) -> Result<Frame, FrameError> {
         let mut lines = text.lines();
-        let header = lines.next().and_then(unseal).ok_or(FrameError::BadHeader)?;
+        let header = lines
+            .next()
+            .and_then(unseal_line)
+            .ok_or(FrameError::BadHeader)?;
         let mut parts = header.split_whitespace();
         if parts.next() != Some("frame") {
             return Err(FrameError::BadHeader);
@@ -276,7 +279,10 @@ impl Frame {
             "req" => {
                 let mut wants = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let body = lines.next().and_then(unseal).ok_or(FrameError::TornBody)?;
+                    let body = lines
+                        .next()
+                        .and_then(unseal_line)
+                        .ok_or(FrameError::TornBody)?;
                     let mut p = body.split_whitespace();
                     if p.next() != Some("want") {
                         return Err(FrameError::TornBody);
@@ -294,7 +300,10 @@ impl Frame {
             "ent" => {
                 let mut envs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let body = lines.next().and_then(unseal).ok_or(FrameError::TornBody)?;
+                    let body = lines
+                        .next()
+                        .and_then(unseal_line)
+                        .ok_or(FrameError::TornBody)?;
                     envs.push(Envelope::from_line(body).ok_or(FrameError::TornBody)?);
                 }
                 FramePayload::Entries(envs)
@@ -304,7 +313,7 @@ impl Frame {
 
         let footer = lines
             .next()
-            .and_then(unseal)
+            .and_then(unseal_line)
             .ok_or(FrameError::TornFooter)?;
         let count = footer
             .strip_prefix("frame-end ")
@@ -319,20 +328,6 @@ impl Frame {
 
 fn parse_field<T: std::str::FromStr>(field: Option<&str>) -> Option<T> {
     field?.parse().ok()
-}
-
-fn seal_line(out: &mut String, body: &str) {
-    debug_assert!(!body.contains('\n'), "frame lines are single lines");
-    out.push_str(body);
-    out.push_str(&format!(" crc {:016x}\n", fnv1a64(body.as_bytes())));
-}
-
-/// Strips and verifies the trailing seal; `None` if absent or wrong.
-fn unseal(line: &str) -> Option<&str> {
-    let at = line.rfind(" crc ")?;
-    let (body, seal) = line.split_at(at);
-    let seal = u64::from_str_radix(seal.trim_start_matches(" crc ").trim(), 16).ok()?;
-    (fnv1a64(body.as_bytes()) == seal).then_some(body)
 }
 
 /// Platform names are code-chosen; squash any stray whitespace so they

@@ -16,7 +16,8 @@ use crate::replica::{Applied, ReplicaTable};
 use crate::reprofile::ReprofileScheduler;
 use crate::stats::FleetStats;
 use easched_core::{
-    characterize, CharacterizationConfig, EasConfig, SharedEas, StoreError, StoreHealth,
+    characterize, CharacterizationConfig, EasConfig, EasScheduler, SharedEas, StoreError,
+    StoreHealth,
 };
 use easched_runtime::sim_backend::SimBackend;
 use easched_runtime::vfs::{StdFs, Vfs};
@@ -136,7 +137,7 @@ impl FleetNode {
     ) -> Result<FleetNode, StoreError> {
         let store_dir = store_root.join(format!("node{id}"));
         let model = characterize(&platform, &CharacterizationConfig::default());
-        let shared = SharedEas::with_persistence_vfs(model, config, &store_dir, vfs)?;
+        let shared = EasScheduler::open(model, config, &store_dir, vfs)?.into_shared();
         let mut fenced = false;
         for _ in 0..START_CHECKPOINT_RETRIES {
             if shared.checkpoint().is_ok() {
@@ -144,7 +145,7 @@ impl FleetNode {
                 break;
             }
         }
-        let store = shared.store().expect("with_persistence attaches a store");
+        let store = shared.store().expect("open attaches a store");
         let generation = if fenced {
             store.generation()
         } else {

@@ -18,7 +18,7 @@
 //! mid-write by a crash loses only its tail; the `end` footer
 //! distinguishes a truncated log from a complete one.
 
-use easched_core::fnv1a64;
+use easched_core::{seal_line, unseal_line};
 use easched_runtime::vfs::Vfs;
 use easched_runtime::Observation;
 use easched_sim::CounterSnapshot;
@@ -239,7 +239,10 @@ impl RunLog {
     /// error — without root and fingerprints there is nothing to replay.
     pub fn from_text(text: &str) -> Result<RunLog, LogError> {
         let mut lines = text.lines();
-        let magic = lines.next().and_then(unseal).ok_or(LogError::NotARunLog)?;
+        let magic = lines
+            .next()
+            .and_then(unseal_line)
+            .ok_or(LogError::NotARunLog)?;
         let version = magic
             .strip_prefix("easched-runlog v")
             .and_then(|v| v.parse::<u32>().ok())
@@ -251,7 +254,10 @@ impl RunLog {
             return Err(LogError::UnknownVersion(version));
         }
         let mut header = |tag: &str| -> Result<u64, LogError> {
-            let line = lines.next().and_then(unseal).ok_or(LogError::NotARunLog)?;
+            let line = lines
+                .next()
+                .and_then(unseal_line)
+                .ok_or(LogError::NotARunLog)?;
             line.strip_prefix(tag)
                 .and_then(|rest| u64::from_str_radix(rest.trim(), 16).ok())
                 .ok_or_else(|| LogError::MalformedHeader(line.to_string()))
@@ -263,7 +269,7 @@ impl RunLog {
         let mut events = Vec::new();
         let mut complete = false;
         for line in lines {
-            let Some(body) = unseal(line) else { break };
+            let Some(body) = unseal_line(line) else { break };
             if let Some(count) = body.strip_prefix("end ") {
                 complete = count.trim().parse::<usize>() == Ok(events.len());
                 break;
@@ -409,20 +415,6 @@ pub struct LoggedInvocation<'a> {
     pub label: &'a str,
     /// Backend calls, in order.
     pub steps: Vec<RecordedStep>,
-}
-
-fn seal_line(out: &mut String, body: &str) {
-    debug_assert!(!body.contains('\n'), "run-log lines are single lines");
-    out.push_str(body);
-    out.push_str(&format!(" crc {:016x}\n", fnv1a64(body.as_bytes())));
-}
-
-/// Strips and verifies the trailing seal; `None` if absent or wrong.
-fn unseal(line: &str) -> Option<&str> {
-    let at = line.rfind(" crc ")?;
-    let (body, seal) = line.split_at(at);
-    let seal = u64::from_str_radix(seal.trim_start_matches(" crc ").trim(), 16).ok()?;
-    (fnv1a64(body.as_bytes()) == seal).then_some(body)
 }
 
 fn event_line(event: &Event) -> String {

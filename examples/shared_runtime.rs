@@ -50,8 +50,8 @@
 
 use easched::core::telemetry::{parse_trace, to_trace};
 use easched::core::{
-    characterize, table_to_text, CharacterizationConfig, EasConfig, EasRuntime, Objective,
-    RingSink, RunSeed, SharedEas, TableStore, TelemetrySink,
+    characterize, table_to_text, CharacterizationConfig, EasConfig, EasRuntime, EasScheduler,
+    Objective, RingSink, RunSeed, TableStore, TelemetrySink,
 };
 use easched::kernels::suite;
 use easched::runtime::kernel_id_of;
@@ -288,23 +288,14 @@ fn main() {
             ))
         }
     };
-    let eas = match (&opts.store, &tracing) {
-        (Some(dir), Some((_, sink))) => SharedEas::with_telemetry_persistence_vfs(
-            model,
-            config,
-            dir,
-            sink.clone() as Arc<dyn TelemetrySink>,
-            vfs,
-        )
-        .expect("open table store"),
-        (Some(dir), None) => {
-            SharedEas::with_persistence_vfs(model, config, dir, vfs).expect("open table store")
-        }
-        (None, Some((_, sink))) => {
-            SharedEas::with_telemetry(model, config, sink.clone() as Arc<dyn TelemetrySink>)
-        }
-        (None, None) => SharedEas::new(model, config),
+    let mut eas = match &opts.store {
+        Some(dir) => EasScheduler::open(model, config, dir, vfs).expect("open table store"),
+        None => EasScheduler::new(model, config),
     };
+    if let Some((_, sink)) = &tracing {
+        eas.set_telemetry(Some(sink.clone() as Arc<dyn TelemetrySink>));
+    }
+    let eas = eas.into_shared();
     if opts.store.is_some() && !eas.table().is_empty() {
         println!(
             "warm-started from recovered table ({} kernels)",

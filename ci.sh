@@ -179,8 +179,25 @@ else
     echo "    tmpfs mount unavailable; skipped"
 fi
 
-echo "==> decide-path budget: fresh measurement vs committed BENCH_decide.json"
-./target/release/bench_decide --out target/ci-bench-decide.json --check BENCH_decide.json
+echo "==> decide-path budget: perfbench reuse-hot lanes within fixed bounds"
+# Bounds: the paper's 1 us per alpha decision; record/apply at 5x their
+# first measured medians (115 / 119 ns). The last stdout line is the
+# result JSON.
+PERF_LINE=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload reuse-hot --seed 7 --seconds 1 --trace 1 | tail -n 1)
+echo "$PERF_LINE" | jq -e '
+    def lane(k): .metrics[k].value // error("missing lane " + k);
+    .correct == true and .failed == 0
+    and lane("eas.decide_alpha.ns.p50") <= 1000
+    and lane("ring.record.ns.p50") <= 575
+    and lane("fleet.replica_apply.ns.p50") <= 595' > /dev/null || {
+    echo "perfbench budget exceeded:"
+    echo "$PERF_LINE" | jq '{correct, failed,
+        decide: .metrics["eas.decide_alpha.ns.p50"].value,
+        record: .metrics["ring.record.ns.p50"].value,
+        apply: .metrics["fleet.replica_apply.ns.p50"].value}'
+    exit 1
+}
 
 echo "==> perfbench: the benchmark builds against the public API, unit tests pass"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml

@@ -3,85 +3,82 @@
 //! Usage:
 //!
 //! ```text
-//! figures <experiment>...       # fig1 fig2 fig3 fig4 fig5 fig6 table1
-//!                               # fig9 fig10 fig11 fig12 overhead
-//!                               # ablation-poly ablation-grid
-//!                               # ablation-categories ablation-profile
-//!                               # ablation-accum ablation-thresholds
-//! figures chaos                 # fault-injection robustness study
-//! figures all                   # every paper experiment
-//! figures ablations             # every ablation study
+//! figures [--out DIR] <experiment>...   # any name from `EXPERIMENTS`
+//! figures all                           # every paper experiment
+//! figures ablations                     # every ablation study
+//! figures --help                        # list every name
 //! ```
 //!
 //! Artifacts are written to `results/` (CSV + per-experiment markdown) and a
-//! combined `results/SUMMARY.md`.
+//! combined `results/SUMMARY.md`. Every name is checked before the
+//! platforms are characterized, so a typo exits 2 without running
+//! anything or writing any file.
 
 use easched_bench::{ablations, chaos, experiments, telemetry, Lab, Report};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-fn run_one(lab: &mut Lab, name: &str) -> Option<Vec<Report>> {
-    let report = match name {
-        "fig1" => experiments::fig1(lab),
-        "fig2" => experiments::fig2(lab),
-        "fig3" => experiments::fig3(lab),
-        "fig4" => experiments::fig4(lab),
-        "fig5" => experiments::fig5(lab),
-        "fig6" => experiments::fig6(lab),
-        "table1" => experiments::table1(lab),
-        "fig9" => experiments::fig9(lab),
-        "fig10" => experiments::fig10(lab),
-        "fig11" => experiments::fig11(lab),
-        "fig12" => experiments::fig12(lab),
-        "ed2" => experiments::ed2(lab),
-        "tdp" => experiments::tdp(lab),
-        "model-error" => experiments::model_error(lab),
-        "trace-eas" => experiments::trace_eas(lab),
-        "overhead" => experiments::overhead(lab),
-        "ablation-poly" => ablations::poly_order(lab),
-        "ablation-grid" => ablations::grid_resolution(lab),
-        "ablation-categories" => ablations::categories(lab),
-        "ablation-profile" => ablations::profile_strategy(lab),
-        "ablation-accum" => ablations::accumulation(lab),
-        "ablation-thresholds" => ablations::thresholds(lab),
-        "ablation-drift" => ablations::drift(lab),
-        "chaos" => chaos::chaos(lab),
-        "telemetry" => telemetry::telemetry(lab),
-        "all" => return Some(experiments::all(lab)),
-        "ablations" => return Some(ablations::all(lab)),
-        _ => return None,
-    };
-    Some(vec![report])
+/// One experiment: one report.
+type Experiment = fn(&mut Lab) -> Report;
+/// A named group of experiments, run in its own order.
+type Group = fn(&mut Lab) -> Vec<Report>;
+
+/// Every single experiment, by command-line name.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig1", experiments::fig1),
+    ("fig2", experiments::fig2),
+    ("fig3", experiments::fig3),
+    ("fig4", experiments::fig4),
+    ("fig5", experiments::fig5),
+    ("fig6", experiments::fig6),
+    ("table1", experiments::table1),
+    ("fig9", experiments::fig9),
+    ("fig10", experiments::fig10),
+    ("fig11", experiments::fig11),
+    ("fig12", experiments::fig12),
+    ("ed2", experiments::ed2),
+    ("tdp", experiments::tdp),
+    ("model-error", experiments::model_error),
+    ("trace-eas", experiments::trace_eas),
+    ("overhead", experiments::overhead),
+    ("ablation-poly", ablations::poly_order),
+    ("ablation-grid", ablations::grid_resolution),
+    ("ablation-categories", ablations::categories),
+    ("ablation-profile", ablations::profile_strategy),
+    ("ablation-accum", ablations::accumulation),
+    ("ablation-thresholds", ablations::thresholds),
+    ("ablation-drift", ablations::drift),
+    ("chaos", chaos::chaos),
+    ("telemetry", telemetry::telemetry),
+];
+
+/// Every group, by command-line name.
+const GROUPS: &[(&str, Group)] = &[("all", experiments::all), ("ablations", ablations::all)];
+
+/// One resolved command-line name.
+enum Run {
+    One(Experiment),
+    Group(Group),
 }
 
-const EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "table1",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "ed2",
-    "tdp",
-    "model-error",
-    "trace-eas",
-    "overhead",
-    "ablation-poly",
-    "ablation-grid",
-    "ablation-categories",
-    "ablation-profile",
-    "ablation-accum",
-    "ablation-thresholds",
-    "ablation-drift",
-    "chaos",
-    "telemetry",
-    "all",
-    "ablations",
-];
+fn lookup(name: &str) -> Option<Run> {
+    if let Some(&(_, f)) = EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+        return Some(Run::One(f));
+    }
+    GROUPS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, f)| Run::Group(f))
+}
+
+fn usage() {
+    let names: Vec<&str> = EXPERIMENTS
+        .iter()
+        .map(|(n, _)| *n)
+        .chain(GROUPS.iter().map(|(n, _)| *n))
+        .collect();
+    eprintln!("usage: figures [--out DIR] <experiment>... | all | ablations");
+    eprintln!("experiments: {}", names.join(" "));
+}
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -104,45 +101,46 @@ fn main() {
         }
     }
     if args.is_empty() || args.iter().any(|a| a == "list" || a == "--help") {
-        eprintln!("usage: figures [--out DIR] <experiment>... | all | ablations");
-        eprintln!("experiments: {}", EXPERIMENTS.join(" "));
+        usage();
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
-
-    println!("characterizing platforms (one-time step)...");
-    let mut lab = Lab::new();
-    let results_dir: &Path = &out_dir;
-    let mut summary = String::from("# easched — measured results\n\n");
-    let mut failed = false;
-
+    let mut runs = Vec::with_capacity(args.len());
     for name in &args {
-        let started = std::time::Instant::now();
-        match run_one(&mut lab, name) {
-            Some(reports) => {
-                for report in reports {
-                    report
-                        .write_to(results_dir)
-                        .unwrap_or_else(|e| panic!("writing {}: {e}", report.id));
-                    println!("\n## {} — {}\n", report.id, report.title);
-                    println!("{}", report.markdown);
-                    summary.push_str(&format!(
-                        "## {} — {}\n\n{}\n",
-                        report.id, report.title, report.markdown
-                    ));
-                }
-                println!("[{name} done in {:.1?}]", started.elapsed());
-            }
+        match lookup(name) {
+            Some(run) => runs.push((name, run)),
             None => {
                 eprintln!("unknown experiment: {name}");
-                failed = true;
+                usage();
+                std::process::exit(2);
             }
         }
     }
 
-    std::fs::create_dir_all(results_dir).expect("create results dir");
-    std::fs::write(results_dir.join("SUMMARY.md"), summary).expect("write summary");
-    println!("\nartifacts written to {}/", results_dir.display());
-    if failed {
-        std::process::exit(2);
+    println!("characterizing platforms (one-time step)...");
+    let mut lab = Lab::new();
+    let mut summary = String::from("# easched — measured results\n\n");
+
+    for (name, run) in runs {
+        let started = std::time::Instant::now();
+        let reports = match run {
+            Run::One(f) => vec![f(&mut lab)],
+            Run::Group(f) => f(&mut lab),
+        };
+        for report in reports {
+            report
+                .write_to(&out_dir)
+                .unwrap_or_else(|e| panic!("writing {}: {e}", report.id));
+            println!("\n## {} — {}\n", report.id, report.title);
+            println!("{}", report.markdown);
+            summary.push_str(&format!(
+                "## {} — {}\n\n{}\n",
+                report.id, report.title, report.markdown
+            ));
+        }
+        println!("[{name} done in {:.1?}]", started.elapsed());
     }
+
+    std::fs::create_dir_all(&out_dir).expect("create results dir");
+    std::fs::write(out_dir.join("SUMMARY.md"), summary).expect("write summary");
+    println!("\nartifacts written to {}/", out_dir.display());
 }

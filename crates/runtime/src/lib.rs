@@ -57,10 +57,7 @@ pub use clock::{Clock, TickClock, WallClock};
 pub use energy_probe::{EnergyProbe, MachineProbe, RaplProbe};
 pub use observation::{Observation, RunMetrics};
 pub use parallel_invoker::ParallelInvoker;
-pub use pool::{
-    parallel_for, parallel_for_clocked, parallel_for_deadline_clocked, parallel_for_until_clocked,
-    PoolReport,
-};
+pub use pool::{parallel_for, parallel_for_chunked, parallel_for_clocked, PoolReport};
 pub use scheduler::{ConcurrentScheduler, GpuPolicy, InvocationCtx, KernelId, Scheduler, Shared};
 pub use sim_backend::{kernel_id_of, replay_trace, run_workload, SchedulerInvoker, SimBackend};
 pub use telemetry::InstrumentedBackend;

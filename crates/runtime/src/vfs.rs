@@ -72,8 +72,7 @@ pub trait Vfs: Send + Sync + fmt::Debug {
 /// Passthrough [`Vfs`] over `std::fs` — the production implementation.
 ///
 /// Every method is a direct delegation; the seam adds one dynamic
-/// dispatch per operation on paths that were already syscalls, which
-/// the `bench_decide --check` gate holds to zero measurable cost.
+/// dispatch per operation on paths that were already syscalls.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StdFs;
 

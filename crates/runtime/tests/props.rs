@@ -1,8 +1,7 @@
 //! Property-based tests for the work-stealing pool and the sim backend's
 //! item accounting.
 
-use easched_runtime::pool::parallel_for_until;
-use easched_runtime::{parallel_for, Backend, SimBackend};
+use easched_runtime::{parallel_for, parallel_for_chunked, Backend, SimBackend, WallClock};
 use easched_sim::{KernelTraits, Machine, Platform};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -19,7 +18,7 @@ proptest! {
         chunk in 1u64..512,
     ) {
         let hits: Vec<AtomicU32> = (0..n as usize).map(|_| AtomicU32::new(0)).collect();
-        let report = parallel_for_until(n, workers, chunk, None, &|i| {
+        let report = parallel_for_chunked(n, workers, chunk, &WallClock, &|i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         prop_assert_eq!(report.total_items(), n);

@@ -72,6 +72,32 @@ echo "==> overload replay: record one overloaded run, byte-identical via easched
 ./target/release/easched record --out target/ci-overload.runlog --overload --seed 7 > /dev/null
 ./target/release/easched replay --log target/ci-overload.runlog
 
+echo "==> storm scaling: overload cost per request must not grow with run length"
+# Best-of-three wall time of a seed-7 overload recording, divided by the
+# requests it executed (the count `record` prints). The 256-tick storm
+# may cost at most 1.3x per request what the 32-tick one does.
+storm_us_per_request() {
+    best=""
+    for _ in 1 2 3; do
+        t0=$(date +%s%N)
+        out=$(./target/release/easched record --out "target/ci-storm-$1.runlog" \
+            --overload --seed 7 --ticks "$1" 2>/dev/null)
+        t1=$(date +%s%N)
+        if [ -z "$best" ] || [ $((t1 - t0)) -lt "$best" ]; then best=$((t1 - t0)); fi
+    done
+    executed=$(echo "$out" | sed -n 's/.* \([0-9]*\) executed,.*/\1/p')
+    [ "${executed:-0}" -gt 0 ] || exit 1
+    echo $((best / 1000 / executed))
+}
+US_32=$(storm_us_per_request 32)
+US_256=$(storm_us_per_request 256)
+echo "    us/request: 32 ticks $US_32, 256 ticks $US_256"
+if [ $((US_256 * 10)) -gt $((US_32 * 13)) ]; then
+    echo "storm cost per request grows with run length (limit 1.3x)"
+    exit 1
+fi
+./target/release/easched replay --log target/ci-storm-256.runlog
+
 echo "==> observability plane: live scrape during a storm + SLO exemplar replay"
 rm -f target/ci-serve.out
 ./target/release/easched serve --addr 127.0.0.1:0 --seed 7 --ticks 32 \

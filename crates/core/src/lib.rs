@@ -79,8 +79,8 @@ pub use kernel_table::{AlphaStat, KernelTable, ReuseProbe};
 pub use objective::Objective;
 pub use persist::{
     fnv1a64, load_model, load_model_with, load_table, load_table_with, model_from_text,
-    model_to_text, save_model, save_model_with, save_table, save_table_with, seal_line,
-    table_from_text, table_to_text, unseal_line, ModelParseError,
+    model_to_text, push_sanitized, save_model, save_model_with, save_table, save_table_with,
+    seal_line, seal_tail, table_from_text, table_to_text, unseal_line, ModelParseError,
 };
 pub use power_model::{PowerCurve, PowerModel};
 pub use schemes::{Evaluator, SchemeResult, WorkloadComparison};

@@ -138,11 +138,34 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// (§12) and the fleet wire frame (§15) — so a torn or bit-rotted line
 /// fails [`unseal_line`] on its own, without a file-level checksum.
 pub fn seal_line(out: &mut String, body: &str) {
-    use std::fmt::Write as _;
-    debug_assert!(!body.contains('\n'), "sealed lines are single lines");
+    let start = out.len();
     out.push_str(body);
+    seal_tail(out, start);
+}
+
+/// Seals the body already written at `out[start..]` in place, exactly as
+/// [`seal_line`] would have sealed it — so a writer can format a line
+/// straight into its output buffer instead of into a temporary `String`.
+pub fn seal_tail(out: &mut String, start: usize) {
+    use std::fmt::Write as _;
+    let body = &out[start..];
+    debug_assert!(!body.contains('\n'), "sealed lines are single lines");
+    let digest = fnv1a64(body.as_bytes());
     // Writing into a `String` cannot fail.
-    let _ = writeln!(out, " crc {:016x}", fnv1a64(body.as_bytes()));
+    let _ = writeln!(out, " crc {digest:016x}");
+}
+
+/// Appends `s` with every whitespace character replaced by `_`. Labels,
+/// domains and platform names are code-chosen words inside a
+/// whitespace-split line grammar (run log, fleet frame); this squashes
+/// any stray space so it cannot split a field.
+pub fn push_sanitized(out: &mut String, s: &str) {
+    for (i, word) in s.split(char::is_whitespace).enumerate() {
+        if i > 0 {
+            out.push('_');
+        }
+        out.push_str(word);
+    }
 }
 
 /// The body of a line [`seal_line`] wrote, or `None` unless the line ends

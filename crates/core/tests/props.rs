@@ -283,8 +283,18 @@ mod persist_props {
 }
 
 mod sealed_line_props {
-    use easched_core::{seal_line, unseal_line};
+    use easched_core::{push_sanitized, seal_line, seal_tail, unseal_line};
     use proptest::prelude::*;
+
+    /// Letters, separators and multi-byte characters, whitespace of
+    /// several widths included.
+    const ALPHABET: [char; 10] = [
+        'a', 'Z', '_', '-', ' ', '\t', '\n', '\u{a0}', '\u{3000}', 'é',
+    ];
+
+    fn text(indices: &[usize]) -> String {
+        indices.iter().map(|&i| ALPHABET[i]).collect()
+    }
 
     proptest! {
         /// The one sealed-line codec every log shares: a sealed body
@@ -321,6 +331,36 @@ mod sealed_line_props {
                     prop_assert_eq!(decoded, body.as_str(), "flip at {} bit {}", pos, bit);
                 }
             }
+        }
+
+        /// Sealing in place after an arbitrary prefix leaves the prefix
+        /// alone and appends exactly the bytes `seal_line` appends.
+        #[test]
+        fn seal_tail_matches_seal_line(
+            prefix in prop::collection::vec(0..ALPHABET.len(), 0..24),
+            body in prop::collection::vec(0..ALPHABET.len(), 0..48),
+        ) {
+            let prefix = text(&prefix);
+            let body = text(&body).replace('\n', " ");
+            let mut expected = prefix.clone();
+            seal_line(&mut expected, &body);
+            let mut in_place = prefix.clone();
+            in_place.push_str(&body);
+            seal_tail(&mut in_place, prefix.len());
+            prop_assert_eq!(in_place, expected);
+        }
+
+        /// The shared sanitizer squashes each whitespace character to one
+        /// `_`, exactly like `str::replace`, and appends in place.
+        #[test]
+        fn push_sanitized_matches_replace(
+            prefix in prop::collection::vec(0..ALPHABET.len(), 0..8),
+            s in prop::collection::vec(0..ALPHABET.len(), 0..32),
+        ) {
+            let (prefix, s) = (text(&prefix), text(&s));
+            let mut out = prefix.clone();
+            push_sanitized(&mut out, &s);
+            prop_assert_eq!(out, format!("{prefix}{}", s.replace(char::is_whitespace, "_")));
         }
     }
 }

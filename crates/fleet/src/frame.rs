@@ -15,7 +15,8 @@
 //! * `ent` — a batch of [`Envelope`]s, each a single sealed line, in
 //!   strictly increasing `(generation, seq)` order per origin.
 
-use easched_core::{seal_line, unseal_line};
+use easched_core::{push_sanitized, seal_line, seal_tail, unseal_line};
+use std::fmt::{self, Write as _};
 
 /// A node's identity within the fleet (dense, 0-based).
 pub type NodeId = u16;
@@ -101,31 +102,30 @@ impl Envelope {
         }
     }
 
-    fn to_line(&self) -> String {
+    /// Writes the envelope's line body (unsealed) straight into `out`.
+    fn write_line(&self, out: &mut String) -> fmt::Result {
+        let (word, kernel) = match self.op {
+            Op::Put { kernel, .. } => ("put", kernel),
+            Op::Taint { kernel } => ("taint", kernel),
+        };
+        write!(out, "{word} {} ", self.origin)?;
+        push_sanitized(out, &self.platform);
+        write!(out, " {} {} {kernel:016x}", self.generation, self.seq)?;
         match self.op {
             Op::Put {
-                kernel,
                 alpha,
                 weight,
                 seen,
                 tainted,
-            } => format!(
-                "put {} {} {} {} {kernel:016x} {:016x} {:016x} {seen} {}",
-                self.origin,
-                sanitize(&self.platform),
-                self.generation,
-                self.seq,
+                ..
+            } => write!(
+                out,
+                " {:016x} {:016x} {seen} {}",
                 alpha.to_bits(),
                 weight.to_bits(),
                 u8::from(tainted),
             ),
-            Op::Taint { kernel } => format!(
-                "taint {} {} {} {} {kernel:016x}",
-                self.origin,
-                sanitize(&self.platform),
-                self.generation,
-                self.seq,
-            ),
+            Op::Taint { .. } => Ok(()),
         }
     }
 
@@ -248,7 +248,10 @@ impl Frame {
             }
             FramePayload::Entries(envs) => {
                 for env in envs {
-                    seal_line(&mut out, &env.to_line());
+                    let start = out.len();
+                    env.write_line(&mut out)
+                        .expect("writing into a String cannot fail");
+                    seal_tail(&mut out, start);
                 }
             }
         }
@@ -328,12 +331,6 @@ impl Frame {
 
 fn parse_field<T: std::str::FromStr>(field: Option<&str>) -> Option<T> {
     field?.parse().ok()
-}
-
-/// Platform names are code-chosen; squash any stray whitespace so they
-/// cannot break the line grammar.
-fn sanitize(s: &str) -> String {
-    s.replace(char::is_whitespace, "_")
 }
 
 /// `Some(())` only when the iterator is exhausted (trailing junk on a

@@ -18,11 +18,12 @@
 //! mid-write by a crash loses only its tail; the `end` footer
 //! distinguishes a truncated log from a complete one.
 
-use easched_core::{seal_line, unseal_line};
+use easched_core::{push_sanitized, seal_tail, unseal_line};
 use easched_runtime::vfs::Vfs;
 use easched_runtime::Observation;
 use easched_sim::CounterSnapshot;
 use easched_telemetry::DecisionRecord;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::Path;
 
@@ -193,18 +194,55 @@ impl std::fmt::Display for LogError {
 impl std::error::Error for LogError {}
 
 impl RunLog {
-    /// Serializes the log, every line sealed.
+    /// Serializes the log, every line sealed. Each line is written and
+    /// sealed in place in the output buffer, with no per-line allocation.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        seal_line(&mut out, &format!("easched-runlog v{}", self.version));
-        seal_line(&mut out, &format!("root {:016x}", self.root));
-        seal_line(&mut out, &format!("platform {:016x}", self.platform_fp));
-        seal_line(&mut out, &format!("config {:016x}", self.config_fp));
-        for event in &self.events {
-            seal_line(&mut out, &event_line(event));
+        for index in 0..self.line_count() {
+            self.write_line(&mut out, index);
         }
-        seal_line(&mut out, &format!("end {}", self.events.len()));
         out
+    }
+
+    /// Lines [`to_text`](RunLog::to_text) writes: four header lines, one
+    /// per event, and the `end` footer.
+    fn line_count(&self) -> usize {
+        self.events.len() + 5
+    }
+
+    /// Appends sealed line `index` (0-based) of
+    /// [`to_text`](RunLog::to_text) to `out`.
+    fn write_line(&self, out: &mut String, index: usize) {
+        let start = out.len();
+        let written = match index {
+            0 => write!(out, "easched-runlog v{}", self.version),
+            1 => write!(out, "root {:016x}", self.root),
+            2 => write!(out, "platform {:016x}", self.platform_fp),
+            3 => write!(out, "config {:016x}", self.config_fp),
+            i => match self.events.get(i - 4) {
+                Some(event) => write_event(out, event),
+                None => write!(out, "end {}", self.events.len()),
+            },
+        };
+        written.expect("writing into a String cannot fail");
+        seal_tail(out, start);
+    }
+
+    /// The first line at which the texts of `self` and `other` differ, as
+    /// `(1-based line number, self's line, other's line)` without the
+    /// newline, or `None` when they are byte-identical. Compares line by
+    /// line, so neither text is ever built whole. Logs of different
+    /// lengths differ at the shorter one's `end` footer at the latest.
+    pub(crate) fn first_difference(&self, other: &RunLog) -> Option<(usize, String, String)> {
+        let (mut a, mut b) = (String::new(), String::new());
+        (0..self.line_count().min(other.line_count())).find_map(|index| {
+            a.clear();
+            b.clear();
+            self.write_line(&mut a, index);
+            other.write_line(&mut b, index);
+            let line = |s: &str| s.trim_end_matches('\n').to_string();
+            (a != b).then(|| (index + 1, line(&a), line(&b)))
+        })
     }
 
     /// Writes the serialized log through a [`Vfs`] — the storage-chaos
@@ -417,74 +455,79 @@ pub struct LoggedInvocation<'a> {
     pub steps: Vec<RecordedStep>,
 }
 
-fn event_line(event: &Event) -> String {
+/// Writes one event's line body (unsealed) straight into `out`.
+fn write_event(out: &mut String, event: &Event) -> fmt::Result {
     match event {
         Event::Derive {
             domain,
             index,
             seed,
         } => {
-            let idx = index.map_or("-".to_string(), |i| i.to_string());
-            format!("derive {} {idx} {seed:016x}", sanitize(domain))
+            out.push_str("derive ");
+            push_sanitized(out, domain);
+            match index {
+                Some(i) => write!(out, " {i}")?,
+                None => out.push_str(" -"),
+            }
+            write!(out, " {seed:016x}")
         }
         Event::Invocation {
             kernel,
             items,
             profile_size,
             label,
-        } => format!(
-            "invocation {kernel:016x} {items} {profile_size} {}",
-            sanitize(label)
-        ),
+        } => {
+            write!(out, "invocation {kernel:016x} {items} {profile_size} ")?;
+            push_sanitized(out, label);
+            Ok(())
+        }
         Event::Step(step) => {
-            let call = match step.call {
-                StepCall::Profile { chunk } => format!("profile {chunk}"),
-                StepCall::Split { alpha } => format!("split {:016x}", alpha.to_bits()),
-            };
-            format!(
-                "step {call} {} {}",
+            match step.call {
+                StepCall::Profile { chunk } => write!(out, "step profile {chunk}")?,
+                StepCall::Split { alpha } => write!(out, "step split {:016x}", alpha.to_bits())?,
+            }
+            let obs = &step.obs;
+            write!(
+                out,
+                " {} {:016x} {} {} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x}",
                 step.remaining_after,
-                obs_words(&step.obs)
+                obs.elapsed.to_bits(),
+                obs.cpu_items,
+                obs.gpu_items,
+                obs.cpu_time.to_bits(),
+                obs.gpu_time.to_bits(),
+                obs.energy_joules.to_bits(),
+                obs.counters.instructions.to_bits(),
+                obs.counters.loads.to_bits(),
+                obs.counters.l3_misses.to_bits(),
             )
         }
         Event::Decision(record) => {
-            let words: Vec<String> = record
-                .encode()
-                .iter()
-                .map(|w| format!("{w:016x}"))
-                .collect();
-            format!("decision {} {}", record.seq, words.join(" "))
+            write!(out, "decision {}", record.seq)?;
+            for word in record.encode() {
+                write!(out, " {word:016x}")?;
+            }
+            Ok(())
         }
-        Event::Admission(r) => format!(
+        Event::Admission(r) => write!(
+            out,
             "admission {} {} {} {} {:016x}",
             r.tick, r.tenant, r.level, r.verdict, r.arg
         ),
         // The payload is verbatim (it may itself carry an inner seal);
         // only newlines would break the line grammar, and the fleet
         // writer never produces them.
-        Event::Fleet { line } => format!("fleet {}", line.replace('\n', " ")),
+        Event::Fleet { line } => {
+            out.push_str("fleet ");
+            for (i, part) in line.split('\n').enumerate() {
+                if i > 0 {
+                    out.push(' ');
+                }
+                out.push_str(part);
+            }
+            Ok(())
+        }
     }
-}
-
-/// Whitespace would break the line grammar; labels and domains are
-/// code-chosen, so just squash any stray space.
-fn sanitize(s: &str) -> String {
-    s.replace(char::is_whitespace, "_")
-}
-
-fn obs_words(obs: &Observation) -> String {
-    format!(
-        "{:016x} {} {} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x}",
-        obs.elapsed.to_bits(),
-        obs.cpu_items,
-        obs.gpu_items,
-        obs.cpu_time.to_bits(),
-        obs.gpu_time.to_bits(),
-        obs.energy_joules.to_bits(),
-        obs.counters.instructions.to_bits(),
-        obs.counters.loads.to_bits(),
-        obs.counters.l3_misses.to_bits(),
-    )
 }
 
 fn parse_event(body: &str) -> Option<Event> {
@@ -599,6 +642,7 @@ fn end_of(mut parts: std::str::SplitWhitespace<'_>) -> Option<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easched_core::seal_line;
 
     fn sample_log() -> RunLog {
         let obs = Observation {
@@ -752,6 +796,32 @@ mod tests {
             .collect();
         assert_eq!(changed.len(), 1);
         assert!(changed[0].0.starts_with("step split"));
+    }
+
+    #[test]
+    fn first_difference_agrees_with_the_texts() {
+        let log = sample_log();
+        assert_eq!(log.first_difference(&sample_log()), None);
+
+        let mut perturbed = sample_log();
+        assert!(perturbed.perturb_step(1));
+        let (before, after) = (log.to_text(), perturbed.to_text());
+        let (line, a, b) = log.first_difference(&perturbed).expect("texts differ");
+        let index = before
+            .lines()
+            .zip(after.lines())
+            .position(|(a, b)| a != b)
+            .unwrap();
+        assert_eq!(line, index + 1);
+        assert_eq!(a, before.lines().nth(index).unwrap());
+        assert_eq!(b, after.lines().nth(index).unwrap());
+
+        // A shorter log first differs at its own footer.
+        let mut short = sample_log();
+        short.events.pop();
+        let (line, a, _) = log.first_difference(&short).expect("lengths differ");
+        assert_eq!(line, short.to_text().lines().count());
+        assert!(a.starts_with("decision "), "{a}");
     }
 
     #[test]

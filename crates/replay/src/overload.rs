@@ -251,7 +251,7 @@ where
         edps: Vec::new(),
     };
     for tick in 0..ticks {
-        let tick_start = recorder.decisions().len();
+        let tick_start = recorder.len();
         for tenant in 0..tenants {
             for _ in 0..traffic.arrivals(tenant, tick) {
                 let level = frontend.level().code();
@@ -278,9 +278,9 @@ where
                 verdict: VERDICT_EXEC,
                 arg: req.ticket,
             });
-            let before = recorder.decisions().len();
+            let before = recorder.len();
             let edp = exec(req.tenant, req.ticket, ctx);
-            let records = recorder.decisions().split_off(before);
+            let records = recorder.decisions_after(before);
             // Proxy occupancy: the drain slot held the shared package for
             // the run's scheduler-visible time, so that is what the
             // fair-share ledger and quota window are charged — clamped
@@ -309,7 +309,7 @@ where
         // as one ~0 W sample instead of crushing the whole tick), while
         // surge-corrupted samples still pull the mean up — exactly the
         // sustained-pressure signal the ladder hystereses over.
-        let records = recorder.decisions().split_off(tick_start);
+        let records = recorder.decisions_after(tick_start);
         let samples: Vec<f64> = records
             .iter()
             .filter(|r| r.profile_time + r.split_time > 0.0)
@@ -629,23 +629,10 @@ pub fn replay_overload_storm(log: &RunLog) -> Result<OverloadReplayOutcome, Repl
     );
 
     let replayed = recorder.finish();
-    let (recorded_text, replayed_text) = (log.to_text(), replayed.to_text());
-    let identical = replayed_text == recorded_text;
-    let first_difference = (!identical).then(|| {
-        recorded_text
-            .lines()
-            .zip(replayed_text.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b)
-            .map(|(i, (a, b))| format!("line {}: recorded `{a}` / replayed `{b}`", i + 1))
-            .unwrap_or_else(|| {
-                format!(
-                    "length mismatch: recorded {} lines, replayed {}",
-                    recorded_text.lines().count(),
-                    replayed_text.lines().count()
-                )
-            })
-    });
+    let first_difference = log
+        .first_difference(&replayed)
+        .map(|(line, a, b)| format!("line {line}: recorded `{a}` / replayed `{b}`"));
+    let identical = first_difference.is_none();
 
     Ok(OverloadReplayOutcome {
         replayed,
@@ -679,6 +666,14 @@ mod tests {
         );
         assert_eq!(outcome.table, recorded.table);
         assert_eq!(outcome.health, recorded.health);
+
+        // A perturbed observation must be called out with its line.
+        let mut tampered = recorded.log.clone();
+        assert!(tampered.perturb_step(3));
+        let outcome = replay_overload_storm(&tampered).unwrap();
+        assert!(!outcome.identical);
+        let difference = outcome.first_difference.expect("divergence reported");
+        assert!(difference.starts_with("line "), "{difference}");
     }
 
     #[test]

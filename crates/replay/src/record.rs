@@ -129,14 +129,25 @@ impl Recorder {
         self.push(Event::Fleet { line });
     }
 
-    /// The decision records captured so far, in publication order. The
+    /// The decision records captured so far, in publication order.
+    pub fn decisions(&self) -> Vec<DecisionRecord> {
+        self.decisions_after(0)
+    }
+
+    /// The decision records among the events recorded at or after event
+    /// `offset` (a value [`len`](Recorder::len) returned earlier), in
+    /// publication order; an offset past the end yields nothing. The
     /// overload harness derives its simulated power samples and GPU-proxy
     /// debits from these — on both the record and the replay side, which
-    /// is what makes the admission controller's inputs reproducible.
-    pub fn decisions(&self) -> Vec<DecisionRecord> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// is what makes the admission controller's inputs reproducible. It
+    /// marks `len()` before each request and tick and reads back only
+    /// what that span emitted, so a read costs the span, not the run so
+    /// far.
+    pub fn decisions_after(&self, offset: usize) -> Vec<DecisionRecord> {
+        let events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+        events
+            .get(offset..)
+            .unwrap_or_default()
             .iter()
             .filter_map(|e| match e {
                 Event::Decision(r) => Some(*r),
@@ -326,6 +337,46 @@ mod tests {
         sink.record(&DecisionRecord::default());
         let seqs: Vec<u64> = rec.finish().decisions().iter().map(|d| d.seq).collect();
         assert_eq!(seqs, vec![0, 1]);
+    }
+
+    #[test]
+    fn decisions_after_an_offset_are_the_tail_of_decisions() {
+        let seed = RunSeed::new(23);
+        let rec = Recorder::new(seed, 0, 0);
+        let sink: &dyn TelemetrySink = &*rec;
+        let admission = |tick| AdmissionRecord {
+            tick,
+            tenant: 1,
+            level: 0,
+            verdict: 0,
+            arg: tick,
+        };
+        for round in 0..4u64 {
+            rec.derive_indexed(seed, "traffic", round);
+            for _ in 0..round {
+                sink.record(&DecisionRecord {
+                    kernel: round,
+                    ..DecisionRecord::default()
+                });
+            }
+            rec.note_admission(admission(round));
+            sink.record(&DecisionRecord::default());
+        }
+        rec.note_admission(admission(9));
+
+        let all = rec.decisions();
+        let events = rec.finish().events;
+        assert_eq!(all.len(), 10);
+        for offset in 0..=rec.len() {
+            let before = events[..offset]
+                .iter()
+                .filter(|e| matches!(e, Event::Decision(_)))
+                .count();
+            let tail = all.clone().split_off(before);
+            assert_eq!(rec.decisions_after(offset), tail, "offset {offset}");
+        }
+        assert!(rec.decisions_after(rec.len()).is_empty());
+        assert!(rec.decisions_after(rec.len() + 1).is_empty());
     }
 
     #[test]

@@ -231,6 +231,9 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> rustdoc -D warnings: every intra-doc link resolves"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -20,7 +20,7 @@
 //! hardware counters — black-box end to end.
 //!
 //! The pure per-observation policy lives in [`DecisionEngine`], the
-//! global table G in [`KernelTable`](crate::KernelTable), and the one
+//! global table G in [`KernelTable`], and the one
 //! scheduler state in [`SharedEas`], whose methods run the Figure 7
 //! control flow (`profile_loop`). This module holds the configuration
 //! types and [`EasScheduler`], the exclusive `&mut self` [`Scheduler`]

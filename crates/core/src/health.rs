@@ -93,163 +93,66 @@ impl HealthStats {
         note_brownout_transition => brownout_transitions,
     }
 
-    /// One plain-value read of every counter — the single point where
-    /// relaxed atomics become ordinary integers. `report()`, `Clone`, and
-    /// the frontends' `health()` all route through this.
-    pub fn snapshot(&self) -> HealthSnapshot {
-        HealthSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            trips: self.trips.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            taints: self.taints.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            drift_reprofiles: self.drift_reprofiles.load(Ordering::Relaxed),
-            reprofiles_suppressed: self.reprofiles_suppressed.load(Ordering::Relaxed),
-            watchdog_trips: self.watchdog_trips.load(Ordering::Relaxed),
-            split_overruns: self.split_overruns.load(Ordering::Relaxed),
-            throttled: self.throttled.load(Ordering::Relaxed),
-            requests_shed: self.requests_shed.load(Ordering::Relaxed),
-            requests_queued: self.requests_queued.load(Ordering::Relaxed),
-            quota_denials: self.quota_denials.load(Ordering::Relaxed),
-            brownout_transitions: self.brownout_transitions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// A consistent-enough snapshot of all counters, in the public
-    /// reporting shape.
+    /// A consistent-enough read of every counter, in the public
+    /// reporting shape — the single point where relaxed atomics become
+    /// plain integers; `Clone` and the frontends' `health()` route
+    /// through it. The store counters stay zero: they live in the
+    /// `TableStore`, and the frontends merge them in.
     pub fn report(&self) -> HealthReport {
-        self.snapshot().into()
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        HealthReport {
+            observations_accepted: load(&self.accepted),
+            observations_rejected: load(&self.rejected),
+            retries: load(&self.retries),
+            degraded_invocations: load(&self.degraded),
+            breaker_trips: load(&self.trips),
+            probes: load(&self.probes),
+            recoveries: load(&self.recoveries),
+            taints: load(&self.taints),
+            quarantined_invocations: load(&self.quarantined),
+            drift_reprofiles: load(&self.drift_reprofiles),
+            reprofiles_suppressed: load(&self.reprofiles_suppressed),
+            watchdog_trips: load(&self.watchdog_trips),
+            split_overruns: load(&self.split_overruns),
+            throttled_invocations: load(&self.throttled),
+            requests_shed: load(&self.requests_shed),
+            requests_queued: load(&self.requests_queued),
+            quota_denials: load(&self.quota_denials),
+            brownout_transitions: load(&self.brownout_transitions),
+            ..HealthReport::default()
+        }
     }
 }
 
 impl Clone for HealthStats {
     fn clone(&self) -> HealthStats {
-        HealthStats::from(self.snapshot())
-    }
-}
-
-/// A single consistent read of every [`HealthStats`] counter, as plain
-/// integers. Field names mirror the counters themselves;
-/// [`HealthReport`] is the equivalent user-facing shape with
-/// descriptive names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HealthSnapshot {
-    /// Profiling observations that passed the guard.
-    pub accepted: u64,
-    /// Profiling observations rejected as faults.
-    pub rejected: u64,
-    /// Rejected rounds retried with a backed-off chunk.
-    pub retries: u64,
-    /// Invocations that gave up profiling and ran degraded.
-    pub degraded: u64,
-    /// Breaker trips.
-    pub trips: u64,
-    /// Recovery probes attempted.
-    pub probes: u64,
-    /// Probes that re-closed the breaker.
-    pub recoveries: u64,
-    /// Table entries tainted after faulty invocations.
-    pub taints: u64,
-    /// Invocations quarantined CPU-only.
-    pub quarantined: u64,
-    /// Re-profiles scheduled by the drift monitor.
-    pub drift_reprofiles: u64,
-    /// Drift re-profiles deferred by an empty token bucket.
-    pub reprofiles_suppressed: u64,
-    /// Profiling rounds cancelled by the watchdog deadline.
-    pub watchdog_trips: u64,
-    /// Chunk executions that overran the split deadline.
-    pub split_overruns: u64,
-    /// Invocations forced CPU-only by an admission context (brownout).
-    pub throttled: u64,
-    /// Requests shed by the admission layer.
-    pub requests_shed: u64,
-    /// Requests queued behind earlier arrivals.
-    pub requests_queued: u64,
-    /// Requests refused by an exhausted tenant GPU quota.
-    pub quota_denials: u64,
-    /// Brownout-ladder rung changes.
-    pub brownout_transitions: u64,
-}
-
-impl From<HealthSnapshot> for HealthReport {
-    fn from(s: HealthSnapshot) -> HealthReport {
-        HealthReport {
-            observations_accepted: s.accepted,
-            observations_rejected: s.rejected,
-            retries: s.retries,
-            degraded_invocations: s.degraded,
-            breaker_trips: s.trips,
-            probes: s.probes,
-            recoveries: s.recoveries,
-            taints: s.taints,
-            quarantined_invocations: s.quarantined,
-            drift_reprofiles: s.drift_reprofiles,
-            reprofiles_suppressed: s.reprofiles_suppressed,
-            watchdog_trips: s.watchdog_trips,
-            split_overruns: s.split_overruns,
-            throttled_invocations: s.throttled,
-            requests_shed: s.requests_shed,
-            requests_queued: s.requests_queued,
-            quota_denials: s.quota_denials,
-            brownout_transitions: s.brownout_transitions,
-            // Store counters live in the TableStore, not HealthStats;
-            // the scheduler frontends merge them into the report.
-            store_io_errors: 0,
-            store_degraded: 0,
-            store_bytes: 0,
+        let r = self.report();
+        HealthStats {
+            accepted: AtomicU64::new(r.observations_accepted),
+            rejected: AtomicU64::new(r.observations_rejected),
+            retries: AtomicU64::new(r.retries),
+            degraded: AtomicU64::new(r.degraded_invocations),
+            trips: AtomicU64::new(r.breaker_trips),
+            probes: AtomicU64::new(r.probes),
+            recoveries: AtomicU64::new(r.recoveries),
+            taints: AtomicU64::new(r.taints),
+            quarantined: AtomicU64::new(r.quarantined_invocations),
+            drift_reprofiles: AtomicU64::new(r.drift_reprofiles),
+            reprofiles_suppressed: AtomicU64::new(r.reprofiles_suppressed),
+            watchdog_trips: AtomicU64::new(r.watchdog_trips),
+            split_overruns: AtomicU64::new(r.split_overruns),
+            throttled: AtomicU64::new(r.throttled_invocations),
+            requests_shed: AtomicU64::new(r.requests_shed),
+            requests_queued: AtomicU64::new(r.requests_queued),
+            quota_denials: AtomicU64::new(r.quota_denials),
+            brownout_transitions: AtomicU64::new(r.brownout_transitions),
         }
     }
 }
 
-impl From<HealthSnapshot> for HealthStats {
-    fn from(s: HealthSnapshot) -> HealthStats {
-        let stats = HealthStats::default();
-        stats.accepted.store(s.accepted, Ordering::Relaxed);
-        stats.rejected.store(s.rejected, Ordering::Relaxed);
-        stats.retries.store(s.retries, Ordering::Relaxed);
-        stats.degraded.store(s.degraded, Ordering::Relaxed);
-        stats.trips.store(s.trips, Ordering::Relaxed);
-        stats.probes.store(s.probes, Ordering::Relaxed);
-        stats.recoveries.store(s.recoveries, Ordering::Relaxed);
-        stats.taints.store(s.taints, Ordering::Relaxed);
-        stats.quarantined.store(s.quarantined, Ordering::Relaxed);
-        stats
-            .drift_reprofiles
-            .store(s.drift_reprofiles, Ordering::Relaxed);
-        stats
-            .reprofiles_suppressed
-            .store(s.reprofiles_suppressed, Ordering::Relaxed);
-        stats
-            .watchdog_trips
-            .store(s.watchdog_trips, Ordering::Relaxed);
-        stats
-            .split_overruns
-            .store(s.split_overruns, Ordering::Relaxed);
-        stats.throttled.store(s.throttled, Ordering::Relaxed);
-        stats
-            .requests_shed
-            .store(s.requests_shed, Ordering::Relaxed);
-        stats
-            .requests_queued
-            .store(s.requests_queued, Ordering::Relaxed);
-        stats
-            .quota_denials
-            .store(s.quota_denials, Ordering::Relaxed);
-        stats
-            .brownout_transitions
-            .store(s.brownout_transitions, Ordering::Relaxed);
-        stats
-    }
-}
-
 /// Snapshot of [`HealthStats`] — the telemetry surfaced by
-/// [`EasScheduler::health`](crate::EasScheduler::health) and
-/// [`SharedEas::health`](crate::SharedEas::health).
+/// [`SharedEas::health`](crate::SharedEas::health), which an
+/// [`EasScheduler`](crate::EasScheduler) reaches through `Deref`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthReport {
     /// Profiling observations that passed the guard.
@@ -541,11 +444,6 @@ impl Health {
         self.stats.report()
     }
 
-    /// Raw counter snapshot (plain integers, counter-named fields).
-    pub fn snapshot(&self) -> HealthSnapshot {
-        self.stats.snapshot()
-    }
-
     /// The GPU circuit breaker.
     pub fn breaker(&self) -> &CircuitBreaker {
         &self.breaker
@@ -654,19 +552,39 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_report_agree() {
+    fn clone_carries_every_counter() {
         let h = health();
-        h.stats.note_accepted();
-        h.stats.note_retry();
-        h.stats.note_taint();
-        let s = h.snapshot();
-        assert_eq!(s.accepted, 1);
-        assert_eq!(s.retries, 1);
-        assert_eq!(s.taints, 1);
-        assert_eq!(s.rejected, 0);
-        assert_eq!(HealthReport::from(s), h.report());
-        // Stats rebuilt from a snapshot read back identically.
-        assert_eq!(HealthStats::from(s).snapshot(), s);
+        let notes: [fn(&HealthStats); 18] = [
+            HealthStats::note_accepted,
+            HealthStats::note_rejected,
+            HealthStats::note_retry,
+            HealthStats::note_degraded,
+            HealthStats::note_trip,
+            HealthStats::note_probe,
+            HealthStats::note_recovery,
+            HealthStats::note_taint,
+            HealthStats::note_quarantined,
+            HealthStats::note_drift_reprofile,
+            HealthStats::note_reprofile_suppressed,
+            HealthStats::note_watchdog_trip,
+            HealthStats::note_split_overrun,
+            HealthStats::note_throttled,
+            HealthStats::note_request_shed,
+            HealthStats::note_request_queued,
+            HealthStats::note_quota_denial,
+            HealthStats::note_brownout_transition,
+        ];
+        // A distinct count per counter, so a crossed wire between the
+        // report and the clone cannot read back equal.
+        for (i, note) in notes.iter().enumerate() {
+            for _ in 0..=i {
+                note(&h.stats);
+            }
+        }
+        let r = h.report();
+        assert_eq!((r.observations_accepted, r.retries, r.taints), (1, 3, 8));
+        assert_eq!(r.brownout_transitions, 18);
+        assert_eq!(h.stats.clone().report(), r);
     }
 
     #[test]
@@ -686,8 +604,7 @@ mod tests {
         assert_eq!(r.brownout_transitions, 1);
         // Overload protection is adaptation, not a fault.
         assert!(r.fault_free());
-        let s = h.snapshot();
-        assert_eq!(HealthStats::from(s).snapshot(), s);
+        assert_eq!(h.clone().report(), r);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! write-ahead journal of table mutations plus periodic atomic
 //! snapshot+compaction (DESIGN.md §11).
 //!
-//! Versions 1 and 2 persisted the table as one whole-file write
-//! ([`persist`](crate::persist)) — fine for explicit save points, useless
-//! against a `kill -9`: everything learned since the last save dies with
-//! the process. Version 3 journals every mutation as it happens, so a
-//! restart recovers the table — including taint and circuit-breaker
-//! state — to within the single invocation that was in flight.
+//! Versions 1 and 2 persisted the table as one whole-file write — useless
+//! against a `kill -9`: everything learned since the last save died with
+//! the process. They survive only as read-only migration input. Version 3
+//! journals every mutation as it happens, so a restart recovers the table
+//! — including taint and circuit-breaker state — to within the single
+//! invocation that was in flight.
 //!
 //! # On-disk layout
 //!
@@ -18,8 +18,10 @@
 //! table.journal   — mutations since that snapshot (append-only)
 //! ```
 //!
-//! The snapshot is the v2 text format extended with generation, breaker,
-//! and taint state, under the same trailing-checksum envelope:
+//! The snapshot is the kernel-table text format of
+//! [`persist`](crate::persist) — one codec, [`table_to_text`] /
+//! [`table_from_text`] — carrying generation, breaker, and taint state
+//! under a trailing-checksum envelope:
 //!
 //! ```text
 //! easched-kernel-table v3
@@ -41,15 +43,17 @@
 //!
 //! `put` records carry the kernel's *absolute* state (not a delta), so
 //! replay is idempotent and a lost record costs only that one update.
+//! Their fields are a snapshot `kernel` line's, written and parsed by the
+//! same entry codec.
 //!
 //! # Recovery
 //!
 //! [`TableStore::open`] loads the snapshot (v1/v2 files are accepted for
-//! migration: generation 0, breaker closed, untainted), then replays the
-//! journal **only if** its header generation matches the snapshot's — a
-//! stale journal (crash between snapshot rename and journal reset) is
-//! ignored, exactly right because the snapshot already contains its
-//! mutations. Replay stops at the first line that fails its digest or
+//! migration under the v3 entry rule: generation 0, breaker closed,
+//! untainted), then replays the journal **only if** its header
+//! generation matches the snapshot's — a stale journal (crash between
+//! snapshot rename and journal reset) is ignored, exactly right because
+//! the snapshot already contains its mutations. Replay stops at the first line that fails its digest or
 //! parse: a torn tail (the crash landed mid-`write`) or flipped bits
 //! forfeit the suffix from that point, never the whole table, and the
 //! file is truncated back to the valid prefix so appends resume cleanly.
@@ -72,7 +76,7 @@
 //! # Live I/O faults (DESIGN.md §16)
 //!
 //! All disk access goes through the [`Vfs`] seam, so the same code runs
-//! against the real filesystem ([`StdFs`](easched_runtime::StdFs)) or a
+//! against the real filesystem ([`StdFs`]) or a
 //! deterministic fault injector ([`ChaosFs`](easched_runtime::ChaosFs)).
 //! Failures on the scheduling path never panic and never block a
 //! decision; they follow three rules:
@@ -97,8 +101,8 @@ use crate::guard::FaultKind;
 use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::persist::{
-    self, seal, seal_line, unseal_line, verify_sealed, ModelParseError, TABLE_HEADER_V1,
-    TABLE_HEADER_V2,
+    parse_entry, push_entry, seal_line, seal_tail, table_from_text, table_to_text, unseal_line,
+    ModelParseError, ENTRY_MAX_LEN,
 };
 use easched_runtime::vfs::{StdFs, Vfs, VfsFile};
 use easched_runtime::KernelId;
@@ -113,8 +117,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 const SNAPSHOT_FILE: &str = "table.snap";
 /// Journal file name inside a store directory.
 const JOURNAL_FILE: &str = "table.journal";
-/// Header of the v3 snapshot format.
-const TABLE_HEADER_V3: &str = "easched-kernel-table v3";
 /// Magic prefix of the journal header line.
 const JOURNAL_MAGIC: &str = "easched-table-journal v1";
 /// Default journal appends between automatic snapshot+compactions.
@@ -258,9 +260,9 @@ enum AppendOutcome {
     Written,
     /// The line went to the RAM buffer (store degraded).
     Buffered,
-    /// The disk is full and the line is not yet safe anywhere; the
-    /// caller must compact or degrade.
-    DiskFull,
+    /// The disk is full and the line, handed back, is not yet safe
+    /// anywhere; the caller must compact or degrade.
+    DiskFull(String),
 }
 
 /// Mutable store state behind the mutex: the append handle plus the
@@ -322,6 +324,9 @@ fn journal_line(body: &str) -> String {
 /// Bytes [`seal_line`] adds after the body: ` crc `, 16 hex digits, `\n`.
 const SEAL_LEN: usize = 22;
 
+/// The longest sealed `put` line, so one allocation always holds it.
+const PUT_LINE_MAX: usize = "put ".len() + ENTRY_MAX_LEN + SEAL_LEN;
+
 impl TableStore {
     /// Opens (creating if absent) the store rooted at `dir` and recovers
     /// the persisted table: snapshot, then journal replay, per the
@@ -352,7 +357,9 @@ impl TableStore {
         let journal_path = dir.join(JOURNAL_FILE);
 
         let (table, mut breaker, generation) = match vfs.read(&snap_path) {
-            Ok(bytes) => parse_snapshot(&String::from_utf8_lossy(&bytes))?,
+            Ok(bytes) => {
+                table_from_text(&String::from_utf8_lossy(&bytes)).map_err(StoreError::Snapshot)?
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 (KernelTable::new(), BreakerState::Closed, 0)
             }
@@ -547,7 +554,7 @@ impl TableStore {
         self.events_pending.load(Ordering::Acquire)
     }
 
-    /// Drains the queued storage events (bounded at [`MAX_EVENTS`];
+    /// Drains the queued storage events (at most 64 are queued;
     /// overflow drops the newest, counters never lie).
     pub fn take_events(&self) -> Vec<StorageEvent> {
         if !self.events_pending.swap(false, Ordering::AcqRel) {
@@ -564,16 +571,12 @@ impl TableStore {
         let Some(stat) = table.stat(kernel) else {
             return;
         };
-        let tainted = table.is_tainted(kernel);
-        let body = format!(
-            "put {kernel} alpha {:e} weight {:e} seen {} tainted {}",
-            stat.alpha,
-            stat.weight,
-            stat.invocations_seen,
-            u8::from(tainted)
-        );
+        let mut line = String::with_capacity(PUT_LINE_MAX);
+        line.push_str("put ");
+        push_entry(&mut line, kernel, &stat, table.is_tainted(kernel));
+        seal_tail(&mut line, 0);
         let mut inner = lock(&self.inner);
-        if let AppendOutcome::DiskFull = self.append(&mut inner, &body) {
+        if let AppendOutcome::DiskFull(line) = self.append(&mut inner, line) {
             // ENOSPC with the table in hand: an emergency
             // snapshot+compaction both frees space (snapshot replaces
             // snapshot + journal) and carries this very mutation.
@@ -583,7 +586,7 @@ impl TableStore {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
                 self.degrade(
                     &mut inner,
-                    Some(journal_line(&body)),
+                    Some(line),
                     "ENOSPC and emergency compaction failed",
                 );
             }
@@ -607,17 +610,13 @@ impl TableStore {
 
     /// Journals a taint mark for a kernel.
     pub fn record_taint(&self, kernel: KernelId) {
+        let line = journal_line(&format!("taint {kernel}"));
         let mut inner = lock(&self.inner);
-        let body = format!("taint {kernel}");
-        if let AppendOutcome::DiskFull = self.append(&mut inner, &body) {
+        if let AppendOutcome::DiskFull(line) = self.append(&mut inner, line) {
             // No table in hand, so no emergency compaction here: buffer
             // the line and let the next entry append or checkpoint probe
             // the disk.
-            self.degrade(
-                &mut inner,
-                Some(journal_line(&body)),
-                "ENOSPC outside the entry path",
-            );
+            self.degrade(&mut inner, Some(line), "ENOSPC outside the entry path");
         }
     }
 
@@ -630,13 +629,9 @@ impl TableStore {
             return;
         }
         inner.last_breaker = state.code();
-        let body = format!("breaker {}", state.code());
-        if let AppendOutcome::DiskFull = self.append(&mut inner, &body) {
-            self.degrade(
-                &mut inner,
-                Some(journal_line(&body)),
-                "ENOSPC outside the entry path",
-            );
+        let line = journal_line(&format!("breaker {}", state.code()));
+        if let AppendOutcome::DiskFull(line) = self.append(&mut inner, line) {
+            self.degrade(&mut inner, Some(line), "ENOSPC outside the entry path");
         }
     }
 
@@ -658,11 +653,10 @@ impl TableStore {
         result
     }
 
-    /// Best-effort sealed append; failures are absorbed (counted, typed,
-    /// degraded), never raised — except ENOSPC, which is returned so the
-    /// entry path can compact.
-    fn append(&self, inner: &mut StoreInner, body: &str) -> AppendOutcome {
-        let line = journal_line(body);
+    /// Best-effort append of one sealed line; failures are absorbed
+    /// (counted, typed, degraded), never raised — except ENOSPC, which
+    /// hands the line back so the entry path can compact.
+    fn append(&self, inner: &mut StoreInner, line: String) -> AppendOutcome {
         if inner.mode == StoreMode::Degraded {
             self.buffer_line(inner, line);
             return AppendOutcome::Buffered;
@@ -683,7 +677,7 @@ impl TableStore {
                     || e.kind() == io::ErrorKind::StorageFull;
                 self.note_fault(FaultKind::StorageWrite, format!("journal append: {e}"));
                 if disk_full {
-                    AppendOutcome::DiskFull
+                    AppendOutcome::DiskFull(line)
                 } else {
                     // EIO or a short write: the handle may have torn
                     // bytes on disk. Poison it, rescan the sealed prefix
@@ -790,7 +784,7 @@ impl TableStore {
         let journal_path = self.dir.join(JOURNAL_FILE);
         let attempt = (|| -> io::Result<(Box<dyn VfsFile>, u64)> {
             let snap_gen = match self.vfs.read(&self.dir.join(SNAPSHOT_FILE)) {
-                Ok(bytes) => parse_snapshot(&String::from_utf8_lossy(&bytes))
+                Ok(bytes) => table_from_text(&String::from_utf8_lossy(&bytes))
                     .map(|(_, _, generation)| generation)
                     .map_err(|e| {
                         io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {e}"))
@@ -922,7 +916,7 @@ impl TableStore {
             self.merge_unread_journal(inner, table)?;
         }
         let generation = inner.generation + 1;
-        let text = snapshot_to_text(table, breaker, generation);
+        let text = table_to_text(table, breaker, generation);
         let tmp = self.dir.join("table.snap.tmp");
         // Once the rename commits, the *old* journal is stale (its
         // generation lags the snapshot) and the live handle must not be
@@ -1023,146 +1017,6 @@ fn classify_dir_sync(result: io::Result<()>) -> DirSyncOutcome {
     }
 }
 
-/// Serializes the v3 snapshot text (sorted kernel lines under the
-/// checksum envelope).
-fn snapshot_to_text(table: &KernelTable, breaker: BreakerState, generation: u64) -> String {
-    let mut out = String::new();
-    out.push_str(TABLE_HEADER_V3);
-    out.push('\n');
-    out.push_str(&format!("generation {generation}\n"));
-    out.push_str(&format!("breaker {}\n", breaker.code()));
-    for (kernel, stat, tainted) in table.snapshot_with_taint() {
-        out.push_str(&format!(
-            "kernel {} alpha {:e} weight {:e} seen {} tainted {}\n",
-            kernel,
-            stat.alpha,
-            stat.weight,
-            stat.invocations_seen,
-            u8::from(tainted)
-        ));
-    }
-    seal(out)
-}
-
-/// Parses a snapshot file of any supported version; v1/v2 load with
-/// generation 0, a closed breaker, and no taint state (those formats
-/// never carried it).
-fn parse_snapshot(text: &str) -> Result<(KernelTable, BreakerState, u64), StoreError> {
-    let header = text.lines().next().unwrap_or("").trim();
-    if header == TABLE_HEADER_V1 || header == TABLE_HEADER_V2 {
-        let table = persist::table_from_text(text).map_err(StoreError::Snapshot)?;
-        return Ok((table, BreakerState::Closed, 0));
-    }
-    let body = verify_sealed(text, TABLE_HEADER_V3).map_err(StoreError::Snapshot)?;
-    let table = KernelTable::new();
-    let mut breaker = BreakerState::Closed;
-    let mut generation = 0u64;
-    let mut lines = body.lines().enumerate();
-    lines.next(); // header, validated by the envelope
-    for (idx, raw) in lines {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let bad = |message: String| {
-            StoreError::Snapshot(ModelParseError::BadLine {
-                line: line_no,
-                message,
-            })
-        };
-        let mut tokens = line.split_whitespace();
-        match tokens.next() {
-            Some("generation") => {
-                generation = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing generation".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("generation: {e}")))?;
-            }
-            Some("breaker") => {
-                let code: u8 = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing breaker code".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("breaker code: {e}")))?;
-                breaker = BreakerState::from_code(code)
-                    .ok_or_else(|| bad(format!("unknown breaker code {code}")))?;
-            }
-            Some("kernel") => {
-                let (kernel, stat, tainted) = parse_entry_fields(&mut tokens).map_err(bad)?;
-                if table.stat(kernel).is_some() {
-                    return Err(bad(format!("kernel {kernel} listed twice")));
-                }
-                table.insert(kernel, stat);
-                if tainted {
-                    table.taint(kernel);
-                }
-            }
-            other => return Err(bad(format!("unknown record {other:?}"))),
-        }
-    }
-    Ok((table, breaker, generation))
-}
-
-/// Parses `<id> alpha <a> weight <w> seen <n> tainted <0|1>` — the field
-/// list shared by snapshot `kernel` lines and journal `put` records.
-fn parse_entry_fields<'a>(
-    tokens: &mut impl Iterator<Item = &'a str>,
-) -> Result<(KernelId, AlphaStat, bool), String> {
-    let kernel: KernelId = tokens
-        .next()
-        .ok_or("missing kernel id")?
-        .parse()
-        .map_err(|e| format!("kernel id: {e}"))?;
-    let keyword = |tokens: &mut dyn Iterator<Item = &'a str>, want: &str| match tokens.next() {
-        Some(t) if t == want => Ok(()),
-        other => Err(format!("expected {want:?}, found {other:?}")),
-    };
-    keyword(tokens, "alpha")?;
-    let alpha: f64 = tokens
-        .next()
-        .ok_or("missing alpha")?
-        .parse()
-        .map_err(|e| format!("alpha: {e}"))?;
-    if !(0.0..=1.0).contains(&alpha) {
-        return Err(format!("alpha {alpha} out of [0, 1]"));
-    }
-    keyword(tokens, "weight")?;
-    let weight: f64 = tokens
-        .next()
-        .ok_or("missing weight")?
-        .parse()
-        .map_err(|e| format!("weight: {e}"))?;
-    if !weight.is_finite() || weight < 0.0 {
-        return Err(format!("weight {weight} not a finite non-negative value"));
-    }
-    keyword(tokens, "seen")?;
-    let invocations_seen: u64 = tokens
-        .next()
-        .ok_or("missing seen count")?
-        .parse()
-        .map_err(|e| format!("seen count: {e}"))?;
-    keyword(tokens, "tainted")?;
-    let tainted = match tokens.next() {
-        Some("0") => false,
-        Some("1") => true,
-        other => return Err(format!("tainted flag: found {other:?}")),
-    };
-    if tokens.next().is_some() {
-        return Err("trailing tokens after tainted flag".into());
-    }
-    Ok((
-        kernel,
-        AlphaStat {
-            alpha,
-            weight,
-            invocations_seen,
-        },
-        tainted,
-    ))
-}
-
 /// Result of scanning a journal file: the records of the valid prefix
 /// and where that prefix ends.
 struct JournalScan {
@@ -1223,7 +1077,7 @@ fn parse_record(body: &str) -> Option<JournalRecord> {
     let mut tokens = body.split_whitespace();
     match tokens.next()? {
         "put" => {
-            let (kernel, stat, tainted) = parse_entry_fields(&mut tokens).ok()?;
+            let (kernel, stat, tainted) = parse_entry(&mut tokens, true).ok()?;
             Some(JournalRecord::Put {
                 kernel,
                 stat,
@@ -1470,14 +1324,18 @@ mod tests {
     #[test]
     fn v2_snapshot_migrates() {
         let dir = TempDir::new();
-        let table = learned_table();
+        // `learned_table()` as the retired v2 writer sealed it.
         fs::write(
             dir.path().join(SNAPSHOT_FILE),
-            persist::table_to_text(&table),
+            "easched-kernel-table v2\n\
+             kernel 1 alpha 0e0 weight 1.7e1 seen 0\n\
+             kernel 7 alpha 6.666666666666665e-1 weight 5e4 seen 1\n\
+             kernel 900 alpha 1e0 weight 1e9 seen 0\n\
+             checksum 50a8e97575c5ee69\n",
         )
         .unwrap();
         let (_, recovered) = TableStore::open(dir.path()).unwrap();
-        assert_eq!(recovered.table.snapshot(), table.snapshot());
+        assert_eq!(recovered.table.snapshot(), learned_table().snapshot());
         assert_eq!(recovered.generation, 0);
         assert_eq!(recovered.breaker, BreakerState::Closed);
         assert!(
@@ -1522,11 +1380,11 @@ mod tests {
 
     #[test]
     fn snapshot_text_is_stable_and_checksummed() {
-        let text = snapshot_to_text(&learned_table(), BreakerState::Open, 7);
+        let text = table_to_text(&learned_table(), BreakerState::Open, 7);
         assert!(text.starts_with("easched-kernel-table v3\ngeneration 7\nbreaker 1\n"));
         let last = text.lines().last().unwrap();
         assert!(last.starts_with("checksum "), "{last}");
-        let (table, breaker, generation) = parse_snapshot(&text).unwrap();
+        let (table, breaker, generation) = table_from_text(&text).unwrap();
         assert_eq!(table.snapshot(), learned_table().snapshot());
         assert!(table.is_tainted(900));
         assert_eq!(breaker, BreakerState::Open);

@@ -71,16 +71,13 @@ pub use eas::{Accumulation, AlphaSearch, Decision, EasConfig, EasScheduler};
 pub use easruntime::{EasRuntime, RunOutcome};
 pub use engine::{DecisionEngine, Prediction, PRIOR_WINDOW};
 pub use guard::{FaultKind, ObservationGuard};
-pub use health::{
-    BreakerGate, BreakerState, CircuitBreaker, FaultPolicy, Health, HealthReport, HealthSnapshot,
-};
+pub use health::{BreakerGate, BreakerState, CircuitBreaker, FaultPolicy, Health, HealthReport};
 pub use journal::{Recovered, StorageEvent, StoreError, StoreHealth, StoreMode, TableStore};
 pub use kernel_table::{AlphaStat, KernelTable, ReuseProbe};
 pub use objective::Objective;
 pub use persist::{
-    fnv1a64, load_model, load_model_with, load_table, load_table_with, model_from_text,
-    model_to_text, push_sanitized, save_model, save_model_with, save_table, save_table_with,
-    seal_line, seal_tail, table_from_text, table_to_text, unseal_line, ModelParseError,
+    fnv1a64, load_model, model_from_text, model_to_text, push_sanitized, save_model, seal_line,
+    seal_tail, table_from_text, table_to_text, unseal_line, ModelParseError,
 };
 pub use power_model::{PowerCurve, PowerModel};
 pub use schemes::{Evaluator, SchemeResult, WorkloadComparison};

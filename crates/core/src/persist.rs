@@ -13,21 +13,27 @@
 //! checksum 8d3f2a915c04be71
 //! ```
 //!
-//! The learned kernel table G persists the same way
-//! ([`table_to_text`]/[`table_from_text`]), so a long-running deployment
-//! can warm-start its offload ratios instead of re-profiling every kernel
-//! after a restart:
+//! The learned kernel table G has one codec the same way
+//! ([`table_to_text`]/[`table_from_text`]); the crash-safe store
+//! ([`journal`](crate::journal), DESIGN.md §11) writes it as its snapshot
+//! and formats its journal `put` records with the same entry writer:
 //!
 //! ```text
-//! easched-kernel-table v2
-//! kernel 7 alpha 6.5e-1 weight 5e4 seen 12
+//! easched-kernel-table v3
+//! generation 4
+//! breaker 0
+//! kernel 7 alpha 6.5e-1 weight 5e4 seen 12 tainted 0
 //! ... (one line per kernel, id order)
 //! checksum 41c09f22e6b7d530
 //! ```
 //!
+//! Table versions 1 and 2 (no generation, breaker or taint state) are
+//! read-only migration input, parsed by the same entry parser under the
+//! same rule.
+//!
 //! # Integrity (DESIGN.md §9)
 //!
-//! Version 2 appends a trailing `checksum` line: an FNV-1a 64-bit digest
+//! Every written file ends in a `checksum` line: an FNV-1a 64-bit digest
 //! over every byte that precedes it. A model or table file truncated by a
 //! crashed writer or corrupted at rest fails
 //! [`ModelParseError::MissingChecksum`] /
@@ -36,15 +42,17 @@
 //! files (no checksum) are still accepted for migration.
 
 use crate::classify::WorkloadClass;
+use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::power_model::{PowerCurve, PowerModel};
 use easched_num::Polynomial;
-use easched_runtime::vfs::Vfs;
+use easched_runtime::KernelId;
 use std::error::Error;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::str::FromStr;
 
 /// Format header of the legacy (checksum-less) version 1.
 const HEADER_V1: &str = "easched-power-model v1";
@@ -182,8 +190,8 @@ pub fn unseal_line(line: &str) -> Option<&str> {
     (fnv1a64(body.as_bytes()) == stored).then_some(body)
 }
 
-/// Appends the v2 trailing checksum line over everything written so far.
-pub(crate) fn seal(mut body: String) -> String {
+/// Appends the trailing checksum line over everything written so far.
+fn seal(mut body: String) -> String {
     let digest = fnv1a64(body.as_bytes());
     body.push_str(&format!("checksum {digest:016x}\n"));
     body
@@ -198,7 +206,7 @@ pub(crate) fn seal(mut body: String) -> String {
 /// matches every preceding byte; anything else is [`BadHeader`].
 ///
 /// [`BadHeader`]: ModelParseError::BadHeader
-pub(crate) fn verify_envelope<'a>(
+fn verify_envelope<'a>(
     text: &'a str,
     header_v1: &str,
     header_v2: &str,
@@ -212,9 +220,9 @@ pub(crate) fn verify_envelope<'a>(
 
 /// The checksum-required half of [`verify_envelope`]: accepts only files
 /// whose first line is exactly `header` and whose trailing `checksum`
-/// line digests every preceding byte (also used by the v3 journal
-/// snapshot, which has no unchecked legacy form).
-pub(crate) fn verify_sealed<'a>(text: &'a str, header: &str) -> Result<&'a str, ModelParseError> {
+/// line digests every preceding byte (also used by the v3 kernel table,
+/// which has no unchecked form).
+fn verify_sealed<'a>(text: &'a str, header: &str) -> Result<&'a str, ModelParseError> {
     let found = text.lines().next().unwrap_or("").trim();
     if found != header {
         return Err(ModelParseError::BadHeader(found.to_string()));
@@ -313,7 +321,12 @@ pub fn model_from_text(text: &str) -> Result<PowerModel, ModelParseError> {
                 }
             }
             Some("curve") => {
-                curves.push(parse_curve(line_no, &mut tokens)?);
+                curves.push(parse_curve(&mut tokens).map_err(|message| {
+                    ModelParseError::BadLine {
+                        line: line_no,
+                        message,
+                    }
+                })?);
             }
             other => {
                 return Err(ModelParseError::BadLine {
@@ -339,36 +352,20 @@ pub fn model_from_text(text: &str) -> Result<PowerModel, ModelParseError> {
     Ok(PowerModel::new(platform, curves))
 }
 
-fn parse_curve<'a>(
-    line: usize,
-    tokens: &mut impl Iterator<Item = &'a str>,
-) -> Result<PowerCurve, ModelParseError> {
-    let bad = |message: String| ModelParseError::BadLine { line, message };
-    let index: usize = tokens
-        .next()
-        .ok_or_else(|| bad("missing class index".into()))?
-        .parse()
-        .map_err(|e| bad(format!("class index: {e}")))?;
+fn parse_curve<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Result<PowerCurve, String> {
+    let index: usize = field(tokens, "class index")?;
     if index >= 8 {
-        return Err(bad(format!("class index {index} out of range")));
+        return Err(format!("class index {index} out of range"));
     }
-    expect_keyword(line, tokens, "rmse")?;
-    let rmse: f64 = tokens
-        .next()
-        .ok_or_else(|| bad("missing rmse".into()))?
-        .parse()
-        .map_err(|e| bad(format!("rmse: {e}")))?;
-    expect_keyword(line, tokens, "samples")?;
-    let samples: usize = tokens
-        .next()
-        .ok_or_else(|| bad("missing samples".into()))?
-        .parse()
-        .map_err(|e| bad(format!("samples: {e}")))?;
-    expect_keyword(line, tokens, "coeffs")?;
+    keyword(tokens, "rmse")?;
+    let rmse = field(tokens, "rmse")?;
+    keyword(tokens, "samples")?;
+    let samples = field(tokens, "samples")?;
+    keyword(tokens, "coeffs")?;
     let coeffs: Result<Vec<f64>, _> = tokens.map(str::parse).collect();
-    let coeffs = coeffs.map_err(|e| bad(format!("coefficient: {e}")))?;
+    let coeffs = coeffs.map_err(|e| format!("coefficient: {e}"))?;
     if coeffs.is_empty() {
-        return Err(bad("curve has no coefficients".into()));
+        return Err("curve has no coefficients".into());
     }
     Ok(PowerCurve::new(
         WorkloadClass::from_index(index),
@@ -378,17 +375,23 @@ fn parse_curve<'a>(
     ))
 }
 
-fn expect_keyword<'a>(
-    line: usize,
+/// The next token parsed as a `T`; the error names the field.
+fn field<'a, T: FromStr>(
     tokens: &mut impl Iterator<Item = &'a str>,
-    keyword: &str,
-) -> Result<(), ModelParseError> {
+    name: &str,
+) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    let token = tokens.next().ok_or_else(|| format!("missing {name}"))?;
+    token.parse().map_err(|e| format!("{name}: {e}"))
+}
+
+/// Consumes the next token, which must be `want`.
+fn keyword<'a>(tokens: &mut impl Iterator<Item = &'a str>, want: &str) -> Result<(), String> {
     match tokens.next() {
-        Some(t) if t == keyword => Ok(()),
-        other => Err(ModelParseError::BadLine {
-            line,
-            message: format!("expected {keyword:?}, found {other:?}"),
-        }),
+        Some(t) if t == want => Ok(()),
+        other => Err(format!("expected {want:?}, found {other:?}")),
     }
 }
 
@@ -401,19 +404,6 @@ pub fn save_model(model: &PowerModel, path: impl AsRef<Path>) -> io::Result<()> 
     fs::write(path, model_to_text(model))
 }
 
-/// [`save_model`] through an explicit [`Vfs`] (the storage-chaos seam).
-///
-/// # Errors
-///
-/// Propagates filesystem errors, injected or real.
-pub fn save_model_with(
-    vfs: &dyn Vfs,
-    model: &PowerModel,
-    path: impl AsRef<Path>,
-) -> io::Result<()> {
-    vfs.write(path.as_ref(), model_to_text(model).as_bytes())
-}
-
 /// Loads a model from a file.
 ///
 /// # Errors
@@ -423,167 +413,166 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<PowerModel, ModelParseError>
     model_from_text(&fs::read_to_string(path)?)
 }
 
-/// [`load_model`] through an explicit [`Vfs`].
-///
-/// # Errors
-///
-/// [`ModelParseError`] on I/O or format problems.
-pub fn load_model_with(
-    vfs: &dyn Vfs,
-    path: impl AsRef<Path>,
-) -> Result<PowerModel, ModelParseError> {
-    let bytes = vfs.read(path.as_ref())?;
-    model_from_text(&String::from_utf8_lossy(&bytes))
+/// Header of the legacy kernel-table format, version 1 (no checksum).
+const TABLE_HEADER_V1: &str = "easched-kernel-table v1";
+/// Header of kernel-table version 2: checksummed, but without
+/// generation, breaker or taint state.
+const TABLE_HEADER_V2: &str = "easched-kernel-table v2";
+/// Header of kernel-table version 3, the only version written.
+const TABLE_HEADER_V3: &str = "easched-kernel-table v3";
+
+/// The longest text [`push_entry`] writes: two 20-digit integers, two
+/// 23-character `{:e}` floats, the flag and the keywords between them.
+pub(crate) const ENTRY_MAX_LEN: usize = 117;
+
+/// Appends one table entry as `<id> alpha <a> weight <w> seen <n>
+/// tainted <0|1>` — the fields of a snapshot `kernel` line and of a
+/// journal `put` record alike. `{:e}` floats round-trip every bit.
+pub(crate) fn push_entry(out: &mut String, kernel: KernelId, stat: &AlphaStat, tainted: bool) {
+    use std::fmt::Write as _;
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "{kernel} alpha {:e} weight {:e} seen {} tainted {}",
+        stat.alpha,
+        stat.weight,
+        stat.invocations_seen,
+        u8::from(tainted)
+    );
 }
 
-/// Format header of the legacy kernel-table format, version 1.
-pub(crate) const TABLE_HEADER_V1: &str = "easched-kernel-table v1";
-/// Format header of the kernel-table format, version 2 (checksummed).
-pub(crate) const TABLE_HEADER_V2: &str = "easched-kernel-table v2";
+/// Parses the fields [`push_entry`] writes. Without `with_taint` (a v1
+/// or v2 `kernel` line) the fields end after `seen` and the entry is
+/// untainted. Every version holds to one rule: α in [0, 1], a finite
+/// non-negative weight, nothing after the last field.
+pub(crate) fn parse_entry<'a>(
+    tokens: &mut impl Iterator<Item = &'a str>,
+    with_taint: bool,
+) -> Result<(KernelId, AlphaStat, bool), String> {
+    let kernel = field(tokens, "kernel id")?;
+    keyword(tokens, "alpha")?;
+    let alpha: f64 = field(tokens, "alpha")?;
+    if !(0.0..=1.0).contains(&alpha) {
+        return Err(format!("alpha {alpha} out of [0, 1]"));
+    }
+    keyword(tokens, "weight")?;
+    let weight: f64 = field(tokens, "weight")?;
+    if !weight.is_finite() || weight < 0.0 {
+        return Err(format!("weight {weight} not a finite non-negative value"));
+    }
+    keyword(tokens, "seen")?;
+    let invocations_seen = field(tokens, "seen count")?;
+    let mut tainted = false;
+    if with_taint {
+        keyword(tokens, "tainted")?;
+        tainted = match tokens.next() {
+            Some("0") => false,
+            Some("1") => true,
+            other => return Err(format!("tainted flag: found {other:?}")),
+        };
+    }
+    if let Some(extra) = tokens.next() {
+        return Err(format!("trailing token {extra:?}"));
+    }
+    let stat = AlphaStat {
+        alpha,
+        weight,
+        invocations_seen,
+    };
+    Ok((kernel, stat, tainted))
+}
 
-/// Serializes a learned kernel table to the v2 text format. Lines are in
-/// kernel-id order, so equal tables serialize identically.
+/// Serializes a kernel table with its circuit-breaker state and store
+/// generation — the v3 format, kernel lines in id order under the
+/// checksum envelope, so equal states serialize identically. The table
+/// store writes its snapshots with it (DESIGN.md §11).
 ///
 /// # Examples
 ///
 /// ```
 /// use easched_core::persist::{table_from_text, table_to_text};
-/// use easched_core::{Accumulation, KernelTable};
+/// use easched_core::{Accumulation, BreakerState, KernelTable};
 ///
 /// let table = KernelTable::new();
 /// table.accumulate(7, 0.7, 50_000.0, Accumulation::SampleWeighted);
-/// let back = table_from_text(&table_to_text(&table))?;
+/// let text = table_to_text(&table, BreakerState::Closed, 0);
+/// let (back, breaker, generation) = table_from_text(&text)?;
 /// assert_eq!(back.lookup(7), Some(0.7));
+/// assert_eq!((breaker, generation), (BreakerState::Closed, 0));
 /// # Ok::<(), easched_core::persist::ModelParseError>(())
 /// ```
-pub fn table_to_text(table: &KernelTable) -> String {
-    let mut out = String::new();
-    out.push_str(TABLE_HEADER_V2);
-    out.push('\n');
-    for (kernel, stat) in table.snapshot() {
-        // Full round-trip precision on the floats.
-        out.push_str(&format!(
-            "kernel {} alpha {:e} weight {:e} seen {}\n",
-            kernel, stat.alpha, stat.weight, stat.invocations_seen
-        ));
+pub fn table_to_text(table: &KernelTable, breaker: BreakerState, generation: u64) -> String {
+    let mut out = format!(
+        "{TABLE_HEADER_V3}\ngeneration {generation}\nbreaker {}\n",
+        breaker.code()
+    );
+    for (kernel, stat, tainted) in table.snapshot_with_taint() {
+        out.push_str("kernel ");
+        push_entry(&mut out, kernel, &stat, tainted);
+        out.push('\n');
     }
     seal(out)
 }
 
-/// Parses the kernel-table text format: v2 (checksum verified) or legacy
-/// v1.
+/// Parses a kernel-table file of any version into the table, its
+/// breaker state and its generation. Versions 1 and 2 are migration
+/// input: they yield generation 0, a closed breaker and no taint.
 ///
 /// # Errors
 ///
-/// [`ModelParseError`] on malformed, truncated, or corrupted input
-/// (including a duplicated kernel id, which would silently drop learned
-/// weight). Never panics, whatever the bytes.
-pub fn table_from_text(text: &str) -> Result<KernelTable, ModelParseError> {
-    let body = verify_envelope(text, TABLE_HEADER_V1, TABLE_HEADER_V2)?;
+/// [`ModelParseError`] on malformed, truncated, or corrupted input — in
+/// every version, an α outside [0, 1], a weight that is not finite and
+/// non-negative, a token after the last field, or a duplicated kernel id
+/// (which would silently drop learned weight). Never panics, whatever
+/// the bytes.
+pub fn table_from_text(text: &str) -> Result<(KernelTable, BreakerState, u64), ModelParseError> {
+    let v3 = text.lines().next().unwrap_or("").trim() == TABLE_HEADER_V3;
+    let body = if v3 {
+        verify_sealed(text, TABLE_HEADER_V3)?
+    } else {
+        verify_envelope(text, TABLE_HEADER_V1, TABLE_HEADER_V2)?
+    };
+    let table = KernelTable::new();
+    let mut breaker = BreakerState::Closed;
+    let mut generation = 0;
     let mut lines = body.lines().enumerate();
     lines.next(); // header, already validated by the envelope check
-    let table = KernelTable::new();
     for (idx, raw) in lines {
-        let line_no = idx + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let bad = |message: String| ModelParseError::BadLine {
-            line: line_no,
+            line: idx + 1,
             message,
         };
         let mut tokens = line.split_whitespace();
         match tokens.next() {
+            Some("generation") if v3 => {
+                generation = field(&mut tokens, "generation").map_err(bad)?
+            }
+            Some("breaker") if v3 => {
+                let code: u8 = field(&mut tokens, "breaker code").map_err(bad)?;
+                breaker = BreakerState::from_code(code)
+                    .ok_or_else(|| bad(format!("unknown breaker code {code}")))?;
+            }
             Some("kernel") => {
-                let kernel: u64 = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing kernel id".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("kernel id: {e}")))?;
-                expect_keyword(line_no, &mut tokens, "alpha")?;
-                let alpha: f64 = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing alpha".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("alpha: {e}")))?;
-                if !(0.0..=1.0).contains(&alpha) {
-                    return Err(bad(format!("alpha {alpha} out of [0, 1]")));
-                }
-                expect_keyword(line_no, &mut tokens, "weight")?;
-                let weight: f64 = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing weight".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("weight: {e}")))?;
-                expect_keyword(line_no, &mut tokens, "seen")?;
-                let invocations_seen: u64 = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing seen count".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("seen count: {e}")))?;
+                let (kernel, stat, tainted) = parse_entry(&mut tokens, v3).map_err(bad)?;
                 if table.stat(kernel).is_some() {
                     return Err(bad(format!("kernel {kernel} listed twice")));
                 }
-                table.insert(
-                    kernel,
-                    AlphaStat {
-                        alpha,
-                        weight,
-                        invocations_seen,
-                    },
-                );
+                table.insert(kernel, stat);
+                if tainted {
+                    table.taint(kernel);
+                }
             }
-            other => {
-                return Err(bad(format!("unknown record {other:?}")));
-            }
+            other => return Err(bad(format!("unknown record {other:?}"))),
+        }
+        if let Some(extra) = tokens.next() {
+            return Err(bad(format!("trailing token {extra:?}")));
         }
     }
-    Ok(table)
-}
-
-/// Saves a kernel table to a file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_table(table: &KernelTable, path: impl AsRef<Path>) -> io::Result<()> {
-    fs::write(path, table_to_text(table))
-}
-
-/// [`save_table`] through an explicit [`Vfs`] (the storage-chaos seam).
-///
-/// # Errors
-///
-/// Propagates filesystem errors, injected or real.
-pub fn save_table_with(
-    vfs: &dyn Vfs,
-    table: &KernelTable,
-    path: impl AsRef<Path>,
-) -> io::Result<()> {
-    vfs.write(path.as_ref(), table_to_text(table).as_bytes())
-}
-
-/// Loads a kernel table from a file.
-///
-/// # Errors
-///
-/// [`ModelParseError`] on I/O or format problems.
-pub fn load_table(path: impl AsRef<Path>) -> Result<KernelTable, ModelParseError> {
-    table_from_text(&fs::read_to_string(path)?)
-}
-
-/// [`load_table`] through an explicit [`Vfs`].
-///
-/// # Errors
-///
-/// [`ModelParseError`] on I/O or format problems.
-pub fn load_table_with(
-    vfs: &dyn Vfs,
-    path: impl AsRef<Path>,
-) -> Result<KernelTable, ModelParseError> {
-    let bytes = vfs.read(path.as_ref())?;
-    table_from_text(&String::from_utf8_lossy(&bytes))
+    Ok((table, breaker, generation))
 }
 
 #[cfg(test)]
@@ -721,7 +710,7 @@ mod tests {
 
     #[test]
     fn records_after_checksum_are_rejected() {
-        let mut text = table_to_text(&learned_table());
+        let mut text = table_to_text(&learned_table(), BreakerState::Closed, 0);
         text.push_str("kernel 2 alpha 0.5 weight 1 seen 0\n");
         let err = table_from_text(&text).unwrap_err();
         assert!(matches!(err, ModelParseError::MissingChecksum), "{err}");
@@ -737,20 +726,24 @@ mod tests {
         let back = model_from_text(&v1).unwrap();
         assert_eq!(back, model_from_text(&v2).unwrap());
 
-        let t2 = table_to_text(&learned_table());
-        let t1 = t2[..t2.rfind("checksum").unwrap()].replace(TABLE_HEADER_V2, TABLE_HEADER_V1);
-        assert_eq!(
-            table_from_text(&t1).unwrap().snapshot(),
-            learned_table().snapshot()
-        );
+        // A v1 table is the kernel lines without their taint field.
+        let t3 = table_to_text(&learned_table(), BreakerState::Closed, 0);
+        let kernels: Vec<&str> = t3
+            .lines()
+            .filter_map(|l| l.strip_suffix(" tainted 0"))
+            .collect();
+        let t1 = format!("{TABLE_HEADER_V1}\n{}\n", kernels.join("\n"));
+        let (back, breaker, generation) = table_from_text(&t1).unwrap();
+        assert_eq!(back.snapshot(), learned_table().snapshot());
+        assert_eq!((breaker, generation), (BreakerState::Closed, 0));
     }
 
     #[test]
     fn checksum_line_is_well_formed() {
         for text in [
             model_to_text(&sample_model()),
-            table_to_text(&learned_table()),
-            table_to_text(&KernelTable::new()),
+            table_to_text(&learned_table(), BreakerState::Open, 3),
+            table_to_text(&KernelTable::new(), BreakerState::Closed, 0),
         ] {
             let last = text.lines().last().unwrap();
             let hex = last.strip_prefix("checksum ").unwrap();
@@ -768,7 +761,6 @@ mod tests {
     }
 
     use crate::eas::Accumulation;
-    use crate::kernel_table::{AlphaStat, KernelTable};
 
     fn learned_table() -> KernelTable {
         let t = KernelTable::new();
@@ -787,26 +779,31 @@ mod tests {
     #[test]
     fn table_roundtrip_is_lossless() {
         let table = learned_table();
-        let back = table_from_text(&table_to_text(&table)).unwrap();
+        table.taint(900);
+        let (back, breaker, generation) =
+            table_from_text(&table_to_text(&table, BreakerState::HalfOpen, 9)).unwrap();
         // Bit-identical α, weight, and invocation counts for every kernel.
-        assert_eq!(back.snapshot(), table.snapshot());
+        assert_eq!(back.snapshot_with_taint(), table.snapshot_with_taint());
         assert_eq!(back, table);
-    }
-
-    #[test]
-    fn table_file_roundtrip() {
-        let table = learned_table();
-        let path = std::env::temp_dir().join(format!("easched_table_{}.txt", std::process::id()));
-        save_table(&table, &path).unwrap();
-        let back = load_table(&path).unwrap();
-        assert_eq!(back.snapshot(), table.snapshot());
-        std::fs::remove_file(path).unwrap();
+        assert_eq!((breaker, generation), (BreakerState::HalfOpen, 9));
     }
 
     #[test]
     fn empty_table_roundtrips() {
-        let back = table_from_text(&table_to_text(&KernelTable::new())).unwrap();
-        assert!(back.is_empty());
+        let text = table_to_text(&KernelTable::new(), BreakerState::Closed, 0);
+        assert!(table_from_text(&text).unwrap().0.is_empty());
+    }
+
+    #[test]
+    fn entry_max_len_bounds_every_entry() {
+        let mut out = String::new();
+        let widest = AlphaStat {
+            alpha: f64::MIN_POSITIVE,
+            weight: 1.234_567_890_123_456_7e-300,
+            invocations_seen: u64::MAX,
+        };
+        push_entry(&mut out, u64::MAX, &widest, true);
+        assert_eq!(out.len(), ENTRY_MAX_LEN, "{out}");
     }
 
     #[test]
@@ -815,17 +812,46 @@ mod tests {
             table_from_text("easched-kernel-table v99\n").unwrap_err(),
             ModelParseError::BadHeader(_)
         ));
+        let dup = "kernel 1 alpha 0.5 weight 1 seen 0\nkernel 1 alpha 0.5 weight 1 seen 0";
         for bad in [
             "kernel x alpha 0.5 weight 1 seen 0",
             "kernel 1 alpha 1.5 weight 1 seen 0",
             "kernel 1 alpha 0.5 weight abc seen 0",
+            "kernel 1 alpha 0.5 weight NaN seen 0",
+            "kernel 1 alpha 0.5 weight -5e0 seen 0",
+            "kernel 1 alpha 0.5 weight inf seen 0",
             "kernel 1 alpha 0.5 weight 1 seen -3",
+            "kernel 1 alpha 0.5 weight 1 seen 3 extra",
+            "kernel 1 alpha 0.5 weight 1 seen 0 tainted 0",
             "kernel 1 alpha 0.5 weight 1",
             "kernel 1 weight 1 alpha 0.5 seen 0",
+            "generation 4",
             "mystery 1 2 3",
-            "kernel 1 alpha 0.5 weight 1 seen 0\nkernel 1 alpha 0.5 weight 1 seen 0",
+            dup,
         ] {
-            let text = format!("{TABLE_HEADER_V1}\n{bad}\n");
+            // v1 carries no checksum; v2 is the same body, sealed. Both
+            // are migration input under the v3 entry rule.
+            for text in [
+                format!("{TABLE_HEADER_V1}\n{bad}\n"),
+                seal(format!("{TABLE_HEADER_V2}\n{bad}\n")),
+            ] {
+                let err = table_from_text(&text).unwrap_err();
+                assert!(
+                    matches!(err, ModelParseError::BadLine { .. }),
+                    "{bad}: {err}"
+                );
+            }
+        }
+        for bad in [
+            "kernel 1 alpha 0.5 weight 1 seen 0",
+            "kernel 1 alpha 0.5 weight 1 seen 0 tainted 2",
+            "kernel 1 alpha 0.5 weight 1 seen 0 tainted 0 extra",
+            "generation -1",
+            "generation 4 extra",
+            "breaker 9",
+            "breaker 1 extra",
+        ] {
+            let text = seal(format!("{TABLE_HEADER_V3}\n{bad}\n"));
             let err = table_from_text(&text).unwrap_err();
             assert!(
                 matches!(err, ModelParseError::BadLine { .. }),
@@ -839,7 +865,7 @@ mod tests {
         let text = format!(
             "{TABLE_HEADER_V1}\n# warm-start state\n\nkernel 4 alpha 0.25 weight 10 seen 2\n"
         );
-        let back = table_from_text(&text).unwrap();
+        let (back, _, _) = table_from_text(&text).unwrap();
         assert_eq!(back.lookup(4), Some(0.25));
         assert_eq!(
             back.stat(4).unwrap(),

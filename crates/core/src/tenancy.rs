@@ -3,7 +3,7 @@
 //! §13).
 //!
 //! [`TenantFrontend`] composes the deterministic
-//! [`AdmissionController`](easched_runtime::AdmissionController) — per-
+//! [`AdmissionController`] — per-
 //! tenant bounded queues, weighted fair-share draining, quota windows,
 //! and the three-rung brownout ladder — with an [`Arc<SharedEas>`]: every
 //! request that survives admission executes through the shared table
@@ -11,7 +11,7 @@
 //! the tenant's deadline budget. Admission outcomes are folded into the
 //! scheduler's [`HealthReport`](crate::HealthReport) counters and, when a
 //! telemetry sink is attached, emitted as
-//! [`ControlEvent`](easched_telemetry::ControlEvent)s so Prometheus
+//! [`ControlEvent`]s so Prometheus
 //! exposure carries per-tenant shed/queue/quota series.
 //!
 //! The frontend adds nothing to the single-tenant fast path: a

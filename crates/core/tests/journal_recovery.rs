@@ -4,8 +4,8 @@
 //! through the scheduler frontend.
 
 use easched_core::{
-    characterize, AlphaStat, BreakerState, CharacterizationConfig, EasConfig, EasScheduler,
-    KernelTable, Objective, PowerModel, TableStore,
+    characterize, fnv1a64, Accumulation, AlphaStat, BreakerState, CharacterizationConfig,
+    EasConfig, EasScheduler, KernelTable, Objective, PowerModel, StoreError, TableStore,
 };
 use easched_runtime::backend::test_support::FakeBackend;
 use easched_runtime::chaos::{ChaosInjector, Fault, FaultPlan};
@@ -295,20 +295,35 @@ fn v1_snapshot_migrates_and_reseals_as_v3() {
 fn v2_snapshot_migrates_through_the_public_text_format() {
     let dir = TempDir::new("v2");
     fs::create_dir_all(&dir.0).unwrap();
-    let table = KernelTable::new();
-    table.insert(11, stat(0.25, 1.5e4, 3));
-    table.insert(12, stat(1.0, 2.0e4, 5));
     fs::write(
         dir.0.join("table.snap"),
-        easched_core::persist::table_to_text(&table),
+        "easched-kernel-table v2\n\
+         kernel 11 alpha 2.5e-1 weight 1.5e4 seen 3\n\
+         kernel 12 alpha 1e0 weight 2e4 seen 5\n\
+         checksum 53ece1cc09687118\n",
     )
     .unwrap();
 
     let (_, rec) = TableStore::open(&dir.0).expect("v2 migration");
     assert_eq!(rec.generation, 0);
-    assert_eq!(rec.table.stat(11).map(|s| s.alpha), Some(0.25));
-    assert_eq!(rec.table.stat(12).map(|s| s.invocations_seen), Some(5));
+    assert_eq!(rec.breaker, BreakerState::Closed);
+    assert_eq!(
+        rec.table.snapshot(),
+        vec![(11, stat(0.25, 1.5e4, 3)), (12, stat(1.0, 2.0e4, 5))]
+    );
     assert!(!rec.table.is_tainted(11) && !rec.table.is_tainted(12));
+}
+
+#[test]
+fn v2_snapshot_with_a_nan_weight_is_refused() {
+    let dir = TempDir::new("v2nan");
+    fs::create_dir_all(&dir.0).unwrap();
+    let body = "easched-kernel-table v2\nkernel 11 alpha 2.5e-1 weight NaN seen 3\n";
+    let sealed = format!("{body}checksum {:016x}\n", fnv1a64(body.as_bytes()));
+    fs::write(dir.0.join("table.snap"), sealed).unwrap();
+
+    let err = TableStore::open(&dir.0).unwrap_err();
+    assert!(matches!(err, StoreError::Snapshot(_)), "{err}");
 }
 
 fn desktop_model() -> PowerModel {
@@ -409,5 +424,46 @@ proptest! {
         }
         let a2 = rec.table.stat(2).expect("kernel 2").alpha;
         prop_assert_eq!(a2, 0.5);
+    }
+}
+
+/// The store's on-disk bytes for a fixed script of entries, a taint,
+/// breaker transitions and a checkpoint: a change to the snapshot or the
+/// journal writer that moves one byte fails here.
+#[test]
+fn store_bytes_are_pinned() {
+    let dir = TempDir::new("pin");
+    let (store, _) = TableStore::open(&dir.0).expect("fresh store");
+    let t = KernelTable::new();
+    let w = Accumulation::SampleWeighted;
+    t.accumulate(7, 2.0 / 3.0, 5e4, w);
+    store.record_entry(&t, 7);
+    t.accumulate(7, 0.1, 12_345.0, w);
+    store.record_entry(&t, 7);
+    t.accumulate(900, 1.0, 1e9, w);
+    store.record_entry(&t, 900);
+    t.taint(900);
+    store.record_taint(900);
+    store.record_breaker(BreakerState::Open);
+    store
+        .checkpoint(&t, BreakerState::Open)
+        .expect("checkpoint");
+    t.note_reuse(7);
+    t.accumulate(1, 0.0, 17.0, w);
+    store.record_entry(&t, 1);
+    store.record_entry(&t, 7);
+    store.record_breaker(BreakerState::HalfOpen);
+    drop(store);
+    for (file, digest, len) in [
+        ("table.snap", 0x620e_6261_828f_1cf8, 190),
+        ("table.journal", 0x69a1_7c1a_01c8_5a10, 236),
+    ] {
+        let bytes = fs::read(dir.0.join(file)).unwrap();
+        assert_eq!(
+            (fnv1a64(&bytes), bytes.len()),
+            (digest, len),
+            "{file}:\n{}",
+            String::from_utf8_lossy(&bytes)
+        );
     }
 }

@@ -102,7 +102,9 @@ mod persist_props {
     use easched_core::persist::{
         model_from_text, model_to_text, table_from_text, table_to_text, ModelParseError,
     };
-    use easched_core::{Accumulation, KernelTable, PowerCurve, PowerModel, WorkloadClass};
+    use easched_core::{
+        Accumulation, AlphaStat, BreakerState, KernelTable, PowerCurve, PowerModel, WorkloadClass,
+    };
     use easched_num::Polynomial;
     use proptest::prelude::*;
 
@@ -128,7 +130,19 @@ mod persist_props {
         t.accumulate(7, 2.0 / 3.0, 50_000.0, Accumulation::SampleWeighted);
         t.accumulate(900, 1.0, 1e9, Accumulation::SampleWeighted);
         t.note_reuse(7);
+        t.taint(900);
         t
+    }
+
+    fn sample_table_text() -> String {
+        table_to_text(&sample_table(), BreakerState::Open, 5)
+    }
+
+    /// A parsed table file as comparable plain values.
+    type TableState = (Vec<(u64, AlphaStat, bool)>, BreakerState, u64);
+
+    fn parsed(text: &str) -> Result<TableState, ModelParseError> {
+        table_from_text(text).map(|(t, b, g)| (t.snapshot_with_taint(), b, g))
     }
 
     /// Byte offset where the trailing checksum line starts (exclusive end
@@ -217,15 +231,14 @@ mod persist_props {
         /// corruption is either rejected or provably harmless.
         #[test]
         fn table_bit_flips_detected_or_harmless(pos in 0usize..4096, bit in 0u32..7) {
-            let table = sample_table();
-            let text = table_to_text(&table);
+            let text = sample_table_text();
             prop_assume!(text.is_ascii());
             let pos = pos % text.len();
             let mut bytes = text.clone().into_bytes();
             bytes[pos] ^= 1 << bit;
             let mutated = String::from_utf8(bytes).unwrap();
-            match table_from_text(&mutated) {
-                Ok(back) => prop_assert_eq!(back.snapshot(), table.snapshot()),
+            match parsed(&mutated) {
+                Ok(back) => prop_assert_eq!(back, parsed(&text).unwrap()),
                 Err(e) => prop_assert!(!e.to_string().is_empty()),
             }
             if pos < covered_len(&text) {
@@ -236,14 +249,13 @@ mod persist_props {
         /// Truncating a table file at any byte never panics; anything short
         /// of the full file either fails (usually [`ModelParseError::MissingChecksum`])
         /// or — only when the cut merely drops trailing whitespace — parses
-        /// to the identical table.
+        /// to the identical state.
         #[test]
         fn table_truncation_detected_or_harmless(cut in 0usize..4096) {
-            let table = sample_table();
-            let text = table_to_text(&table);
+            let text = sample_table_text();
             let cut = cut % (text.len() + 1);
-            match table_from_text(&text[..cut]) {
-                Ok(back) => prop_assert_eq!(back.snapshot(), table.snapshot()),
+            match parsed(&text[..cut]) {
+                Ok(back) => prop_assert_eq!(back, parsed(&text).unwrap()),
                 Err(e) => prop_assert!(!e.to_string().is_empty()),
             }
             // Cutting into the digest-covered body can never parse.
@@ -252,15 +264,15 @@ mod persist_props {
             }
         }
 
-        /// Reordering records without resealing is detected by the v2
-        /// checksum; the same reorder in a legacy v1 file parses to the
-        /// same table (records are order-independent).
+        /// Reordering records without resealing is detected by the v3
+        /// checksum; the same reorder of the kernel records in a legacy v1
+        /// file parses to the same table (records are order-independent).
         #[test]
-        fn reordered_records_detected_in_v2_tolerated_in_v1(i in 0usize..3, j in 0usize..3) {
-            let table = sample_table();
-            let text = table_to_text(&table);
+        fn reordered_records_detected_in_v3_tolerated_in_v1(i in 0usize..5, j in 0usize..5) {
+            let text = sample_table_text();
             let mut lines: Vec<&str> = text.lines().collect();
-            // lines[0] is the header, last is the checksum; swap records.
+            // lines[0] is the header, last is the checksum; swap the
+            // generation, breaker and kernel records between them.
             lines.swap(1 + i, 1 + j);
             let swapped = format!("{}\n", lines.join("\n"));
             if i == j {
@@ -273,11 +285,15 @@ mod persist_props {
                 prop_assert!(mismatch, "swap {} <-> {} not flagged", i, j);
             }
             // Legacy v1: no digest, so order legitimately does not matter.
-            let mut v1_lines = lines.clone();
-            v1_lines[0] = "easched-kernel-table v1";
-            v1_lines.pop();
-            let v1 = format!("{}\n", v1_lines.join("\n"));
-            prop_assert_eq!(table_from_text(&v1).unwrap().snapshot(), table.snapshot());
+            // Its records are the kernel lines without their taint field.
+            let kernels: Vec<&str> = lines
+                .iter()
+                .filter(|l| l.starts_with("kernel "))
+                .filter_map(|l| l.rsplit_once(" tainted "))
+                .map(|(entry, _)| entry)
+                .collect();
+            let v1 = format!("easched-kernel-table v1\n{}\n", kernels.join("\n"));
+            prop_assert_eq!(table_from_text(&v1).unwrap().0.snapshot(), sample_table().snapshot());
         }
     }
 }

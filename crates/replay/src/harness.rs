@@ -16,11 +16,11 @@
 //! whole run — the gnarliest case the replay layer must get right.
 
 use crate::record::{Recorder, RecordingScheduler};
-use crate::replay::{replay_log, ReplayOutcome};
+use crate::replay::{replay_log, table_text, ReplayOutcome};
 use crate::RunLog;
 use easched_core::{
-    characterize, fnv1a64, model_to_text, table_to_text, CharacterizationConfig, EasConfig,
-    EasScheduler, HealthReport, Objective, PowerModel, RunSeed,
+    characterize, fnv1a64, model_to_text, CharacterizationConfig, EasConfig, EasScheduler,
+    HealthReport, Objective, PowerModel, RunSeed,
 };
 use easched_kernels::suite;
 use easched_runtime::{run_workload_chaos, ChaosInjector, Fault, FaultPlan, TickClock};
@@ -216,7 +216,7 @@ pub fn record_chaos_storm(spec: &StormSpec) -> RecordedStorm {
     RecordedStorm {
         log: recorder.finish(),
         health: eas.health(),
-        table: table_to_text(eas.table()),
+        table: table_text(&eas),
     }
 }
 

@@ -27,10 +27,8 @@ use crate::harness::{
 };
 use crate::log::{AdmissionRecord, Event, RunLog};
 use crate::record::{Recorder, RecordingScheduler};
-use crate::replay::ReplayBackend;
-use easched_core::{
-    table_to_text, EasScheduler, HealthReport, RunSeed, SharedEasExt, TenantFrontend,
-};
+use crate::replay::{table_text, ReplayBackend};
+use easched_core::{EasScheduler, HealthReport, RunSeed, SharedEasExt, TenantFrontend};
 use easched_kernels::suite;
 use easched_runtime::{
     run_workload, run_workload_chaos, AdmissionConfig, BrownoutLevel, ChaosInjector, FaultPlan,
@@ -496,7 +494,7 @@ fn record_storm_with(
 
     RecordedOverload {
         log: recorder.finish(),
-        table: table_to_text(shared.table()),
+        table: table_text(&shared),
         fair_share_deficit: frontend.fair_share_deficit(),
         queues_bounded: frontend.queues_bounded(),
         offered,
@@ -639,7 +637,7 @@ pub fn replay_overload_storm(log: &RunLog) -> Result<OverloadReplayOutcome, Repl
         identical,
         first_difference,
         health: shared.health(),
-        table: table_to_text(shared.table()),
+        table: table_text(&shared),
     })
 }
 

@@ -21,7 +21,7 @@
 //! diff can still be reported.
 
 use crate::log::{LoggedInvocation, RecordedStep, RunLog, StepCall};
-use easched_core::{table_to_text, EasScheduler, HealthReport};
+use easched_core::{table_to_text, EasScheduler, HealthReport, SharedEas};
 use easched_runtime::{Backend, Observation, Scheduler};
 use easched_telemetry::{DecisionRecord, TelemetrySink};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -339,8 +339,15 @@ pub fn replay_log(log: &RunLog, scheduler: &mut EasScheduler) -> ReplayOutcome {
         divergence,
         invocations_replayed: replayed,
         health: scheduler.health(),
-        table: table_to_text(scheduler.table()),
+        table: table_text(scheduler),
     }
+}
+
+/// A scheduler core's kernel table and breaker state as table text — the
+/// final state a record and its replay compare (a run's table never has
+/// a store generation, so it is written as 0).
+pub(crate) fn table_text(core: &SharedEas) -> String {
+    table_to_text(core.table(), core.health_state().breaker().state(), 0)
 }
 
 fn build_divergence(
@@ -366,7 +373,7 @@ fn build_divergence(
         live: liv,
         fields,
         structural,
-        table: table_to_text(scheduler.table()),
+        table: table_text(scheduler),
         health: scheduler.health(),
     }
 }

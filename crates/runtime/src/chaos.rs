@@ -22,9 +22,8 @@
 use crate::backend::Backend;
 use crate::observation::{Observation, RunMetrics};
 use crate::scheduler::{KernelId, Scheduler};
-use crate::sim_backend::{kernel_id_of, SimBackend};
-use easched_kernels::{InvocationTrace, Invoker};
-use easched_sim::{EnergyCounter, KernelTraits, Machine};
+use crate::sim_backend::run_workload;
+use easched_sim::Machine;
 
 /// How long a hung GPU offload "takes" before the driver times out,
 /// seconds of virtual time attributed to the observation.
@@ -369,7 +368,7 @@ impl Backend for ChaosBackend<'_> {
 
 /// Runs a full workload under `scheduler` with observations filtered
 /// through `injector` — the chaos-testing analogue of
-/// [`run_workload`](crate::run_workload). Functional execution and
+/// [`run_workload`]. Functional execution and
 /// verification are unaffected by the injected faults.
 pub fn run_workload_chaos<S: Scheduler>(
     machine: &mut Machine,
@@ -377,91 +376,28 @@ pub fn run_workload_chaos<S: Scheduler>(
     scheduler: &mut S,
     injector: &mut ChaosInjector,
 ) -> (RunMetrics, easched_kernels::Verification) {
-    let traits = workload.traits_for(machine.platform());
-    let mut invoker = ChaosInvoker {
-        machine,
-        traits: &traits,
-        scheduler,
-        kernel: kernel_id_of(workload),
+    let mut chaos = ChaosScheduler {
+        inner: scheduler,
         injector,
-        invocation_index: 0,
-        metrics: RunMetrics::default(),
     };
-    let verification = workload.drive(&mut invoker);
-    (invoker.metrics, verification)
+    run_workload(machine, workload, &mut chaos)
 }
 
-/// Replays a recorded invocation trace under `scheduler` with chaos
-/// injection — the chaos-testing analogue of
-/// [`replay_trace`](crate::replay_trace).
-pub fn replay_trace_chaos<S: Scheduler>(
-    machine: &mut Machine,
-    traits: &KernelTraits,
-    kernel: KernelId,
-    trace: &InvocationTrace,
-    scheduler: &mut S,
-    injector: &mut ChaosInjector,
-) -> RunMetrics {
-    let mut metrics = RunMetrics::default();
-    for (idx, &n) in trace.sizes.iter().enumerate() {
-        let t0 = machine.now();
-        let e0 = machine.read_energy_raw();
-        {
-            let mut backend = SimBackend::new(machine, traits, n, None, idx as u64 + 1);
-            let mut chaos = injector.wrap(&mut backend);
-            scheduler.schedule(kernel, &mut chaos);
-            assert_eq!(
-                backend.remaining(),
-                0,
-                "scheduler {} left items unconsumed",
-                scheduler.name()
-            );
-        }
-        metrics.time += machine.now() - t0;
-        metrics.energy_joules += EnergyCounter::delta_joules(e0, machine.read_energy_raw());
-        metrics.invocations += 1;
-        metrics.items += n;
-    }
-    metrics
-}
-
-struct ChaosInvoker<'a, S: Scheduler> {
-    machine: &'a mut Machine,
-    traits: &'a KernelTraits,
-    scheduler: &'a mut S,
-    kernel: KernelId,
+/// A [`Scheduler`] that hands every invocation's backend to its inner
+/// scheduler through [`ChaosInjector::wrap`].
+struct ChaosScheduler<'a, S: Scheduler> {
+    inner: &'a mut S,
     injector: &'a mut ChaosInjector,
-    invocation_index: u64,
-    metrics: RunMetrics,
 }
 
-impl<S: Scheduler> Invoker for ChaosInvoker<'_, S> {
-    fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync)) {
-        self.invocation_index += 1;
-        let t0 = self.machine.now();
-        let e0 = self.machine.read_energy_raw();
-        {
-            let mut backend = SimBackend::new(
-                self.machine,
-                self.traits,
-                n,
-                Some(process),
-                self.invocation_index,
-            );
-            let mut chaos = self.injector.wrap(&mut backend);
-            self.scheduler.schedule(self.kernel, &mut chaos);
-            assert_eq!(
-                backend.remaining(),
-                0,
-                "scheduler {} left items unconsumed",
-                self.scheduler.name()
-            );
-        }
-        self.metrics.time += self.machine.now() - t0;
-        self.metrics.energy_joules +=
-            EnergyCounter::delta_joules(e0, self.machine.read_energy_raw());
-        self.metrics.invocations += 1;
-        self.metrics.items += n;
+impl<S: Scheduler> Scheduler for ChaosScheduler<'_, S> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn schedule(&mut self, kernel: KernelId, backend: &mut dyn Backend) {
+        let mut chaos = self.injector.wrap(backend);
+        self.inner.schedule(kernel, &mut chaos);
     }
 }
 

@@ -1,4 +1,4 @@
-//! A functional [`Invoker`](easched_kernels::Invoker) backed by the
+//! A functional [`Invoker`] backed by the
 //! work-stealing pool: every kernel invocation of a workload executes with
 //! real parallelism, which is how the test suite shakes out data races in
 //! kernel item functions.

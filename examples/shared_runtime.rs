@@ -349,7 +349,10 @@ fn main() {
 
     // The learned table persists like the power model does, so the next
     // process warm-starts instead of re-profiling.
-    println!("\npersisted table:\n{}", table_to_text(eas.table()));
+    println!(
+        "\npersisted table:\n{}",
+        table_to_text(eas.table(), eas.health_state().breaker().state(), 0)
+    );
     if opts.store.is_some() {
         // Under `--chaos-fs` the checkpoint may hit injected faults; each
         // retry advances the fault stream past the window, so a bounded
